@@ -43,6 +43,7 @@ from .metrics import (
 )
 from .rng import derive_seed, splitmix64
 from .topology import (
+    GeneratorParamError,
     Network,
     TopologyError,
     ValidationReport,
@@ -65,6 +66,7 @@ __all__ = [
     "Demand",
     "EpidemicError",
     "EpidemicParams",
+    "GeneratorParamError",
     "HorizontalScenario",
     "Injection",
     "Network",

@@ -2,7 +2,7 @@
 
     failprop epidemic --config fig3-sid            # preset by name
     failprop cascade  --config my-attack.cfg --out results
-    failprop sweep    --config sweep.cfg --seed 7 --jobs 4
+    failprop sweep    --config sweep.cfg --seed 7
     failprop gen ba 30 2 --seed 9 --out graphs/
     failprop validate graphs/ba.edges
 
@@ -26,7 +26,9 @@ from pathlib import Path
 from . import config as cfgmod
 from .cascades import ScenarioError, run_horizontal, run_vertical
 from .config import ConfigError, ExperimentConfig
-from .epidemic import EpidemicError, monte_carlo, run
+# run is no longer called here (monte_carlo returns replica 0's trace) but
+# stays bound: perfbench wraps and checks failprop.cli.run
+from .epidemic import EpidemicError, monte_carlo, run  # noqa: F401
 from .metrics import (
     MetricsError,
     failed_fraction,
@@ -34,8 +36,14 @@ from .metrics import (
     stabilization_time,
     threshold_sweep,
 )
-from .rng import derive_seed
-from .topology import TopologyError, generate_topology, load_edge_list, serialize_edge_list, validate
+from .topology import (
+    GeneratorParamError,
+    TopologyError,
+    generate_topology,
+    load_edge_list,
+    serialize_edge_list,
+    validate,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,7 +96,7 @@ def cmd_epidemic(args) -> int:
         n_runs=cfg.n_runs, base_seed=cfg.rng_seed, n_jobs=cfg.n_jobs,
     )
     # trace/events files show replica 0; summary aggregates all replicas
-    tr = run(net, seeds, cfg.model, cfg.max_ticks, cfg.stop, derive_seed(cfg.rng_seed, 0))
+    tr = agg.replica0
     stab = stabilization_time(tr)
     out = _out_dir(args, cfg)
     _write(out / "trace.csv", tr.counts_csv())
@@ -257,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config rng_seed")
         p.add_argument("--out", help="output directory")
         if jobs:
-            p.add_argument("--jobs", type=int, help="worker threads for replicas")
+            p.add_argument("--jobs", type=int,
+                           help="accepted for compatibility and ignored: replicas run serially")
 
     p = sub.add_parser("epidemic", help="run a compartment-model experiment")
     common(p, jobs=True)
@@ -292,7 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EpidemicError, ScenarioError, MetricsError) as exc:
+    except (ConfigError, EpidemicError, ScenarioError, MetricsError, GeneratorParamError) as exc:
         _say(f"failprop: error: {exc}")
         return EXIT_CONFIG
     except TopologyError as exc:

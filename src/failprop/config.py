@@ -355,9 +355,9 @@ def build_horizontal_scenario(cfg: ExperimentConfig, net: Network) -> Horizontal
 def render_resolved(cfg: ExperimentConfig, net: Network) -> str:
     """Canonical text for the effective experiment; reloading it reproduces
     the run (defaults written out, aliases replaced by ids, seed explicit).
-    The output directory and worker count are deliberately left out:
-    where results land and how many threads compute them are not part
-    of the experiment."""
+    The output directory and n_jobs are deliberately left out: where
+    results land and the (ignored) job count are not part of the
+    experiment."""
     lines: list[str] = ["[topology]"]
     if cfg.topology_generate is not None:
         lines.append(f"generate={cfg.topology_generate}")

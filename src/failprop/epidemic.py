@@ -12,19 +12,26 @@ Updates are synchronous: every transition at tick t+1 is computed from
 the tick-t states. A node infected at tick t+1 transmits no earlier than
 tick t+2, and D/R neighbors never transmit.
 
-Randomness contract, relied on for reproducibility: per tick, one pass in
-node-id ascending order consumes transition draws (a draw happens whenever
-the node's state has an exit in the model, regardless of parameter
-values), then a second id-ascending pass consumes one infection draw per
-S node with at least one infected neighbor. Competing I-exits in SID use
-a single uniform u: u < tau goes to D, tau <= u < tau+delta1 goes to S.
+Randomness contract, relied on for reproducibility: per tick, the I and
+D nodes are visited in ascending id order and each consumes one
+transition draw whenever its state has an exit in the model, regardless
+of parameter values (SI's I and SIR's R never draw; S never draws here).
+Then the exposed S nodes, those with at least one infected neighbor, are
+visited in ascending id order and each consumes one infection draw. This
+is the same stream as a full id-ascending scan of every node, since the
+skipped nodes never drew. Competing I-exits in SID use a single uniform
+u: u < tau goes to D, tau <= u < tau+delta1 goes to S.
+
+A tick therefore costs O(active nodes + their degree) in Python, where
+the active nodes are the I and D nodes; only the state tuple itself is
+copied whole, at C speed.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .rng import derive_seed
@@ -37,13 +44,16 @@ D = "D"
 
 MODELS = ("SI", "SIS", "SIR", "SID")
 
-# states that consume a transition draw, per model
+# states a node may hold, per model
 _LEGAL = {
     "SI": frozenset((S, I)),
     "SIS": frozenset((S, I)),
     "SIR": frozenset((S, I, R)),
     "SID": frozenset((S, I, D)),
 }
+
+# column of each state in a (tick, S, I, R, D) counts row
+_COLUMN = {S: 1, I: 2, R: 3, D: 4}
 
 
 class EpidemicError(ValueError):
@@ -90,10 +100,21 @@ class EpidemicParams:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Per-node states at one tick; index is the node id."""
+    """Per-node states at one tick; index is the node id.
+
+    A vector made by `step` or `initial_state` also carries the states
+    it can hold (`_kinds`), its I/D node ids in ascending order
+    (`_active`) and, from `step`, the ids whose state that step changed
+    (`_changed`). A hand-built vector has none of these, so the next
+    `step` derives the active ids with one validating scan. Equality and
+    hashing see only states and tick.
+    """
 
     states: tuple[str, ...]
     tick: int = 0
+    _kinds: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
+    _active: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _changed: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> tuple[int, int, int, int]:
         st = self.states
@@ -101,12 +122,13 @@ class StateVector:
 
 
 def initial_state(net: Network, seeds) -> StateVector:
+    seeds = sorted(set(seeds))
     states = [S] * net.node_count
     for v in seeds:
         if not (0 <= v < net.node_count):
             raise EpidemicError(f"seed {v} is not a node id")
         states[v] = I
-    return StateVector(tuple(states), 0)
+    return _tracked(tuple(states), 0, frozenset((S, I)), seeds)
 
 
 def infection_probability(k: int, beta: float) -> float:
@@ -119,56 +141,85 @@ def infection_probability(k: int, beta: float) -> float:
     return 1.0 - (1.0 - beta) ** k
 
 
+def _active_ids(states: tuple[str, ...], model: str) -> list[int]:
+    """Ascending I/D ids; raises on the first state illegal for the model."""
+    legal = _LEGAL[model]
+    active = []
+    for v, st in enumerate(states):
+        if st != S:
+            if st not in legal:
+                raise EpidemicError(f"node {v}: state {st!r} illegal for {model}")
+            if st != R:
+                active.append(v)
+    return active
+
+
 def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -> StateVector:
     """One synchronous update; consumes draws per the module contract."""
     cur = sv.states
     n = net.node_count
     if len(cur) != n:
         raise EpidemicError(f"state vector has {len(cur)} entries for {n} nodes")
-    legal = _LEGAL[p.model]
-    nxt = list(cur)
     model = p.model
-    infected: list[int] = []
+    legal = _LEGAL[model]
+    if sv._kinds is not None and sv._kinds <= legal:
+        active = sv._active
+    else:
+        active = _active_ids(cur, model)
+    nxt = list(cur)
+    draw = rng.random
 
-    for v in range(n):
-        st = cur[v]
-        if st == S:
-            continue
-        if st == I:
-            infected.append(v)
-            if model == "SID":
-                u = rng.random()
-                if u < p.tau:
+    # transition pass: every I/D node in id order, one draw each (none in SI)
+    if model == "SID":
+        infected, moved = [], []
+        tau, exit_s, gamma = p.tau, p.tau + p.delta1, p.gamma
+        for v in active:
+            if cur[v] == I:
+                infected.append(v)
+                u = draw()
+                if u < tau:
                     nxt[v] = D
-                elif u < p.tau + p.delta1:
+                    moved.append(v)
+                elif u < exit_s:
                     nxt[v] = S
-            elif model == "SIS":
-                if rng.random() < p.delta1:
-                    nxt[v] = S
-            elif model == "SIR":
-                if rng.random() < p.delta1:
-                    nxt[v] = R
-            # SI: absorbing, no draw
-        elif st == D and model == "SID":
-            if rng.random() < p.gamma:
+                    moved.append(v)
+            elif draw() < gamma:
                 nxt[v] = S
-        elif st == R and model == "SIR":
-            pass
-        elif st not in legal:
-            raise EpidemicError(f"node {v}: state {st!r} illegal for {model}")
+                moved.append(v)
+    else:
+        # only SID has D nodes, so every active node is infected
+        infected = active
+        if model == "SI":
+            moved = []
+        else:
+            delta1 = p.delta1
+            moved = [v for v in active if draw() < delta1]
+            to = S if model == "SIS" else R
+            for v in moved:
+                nxt[v] = to
+    if moved:
+        active = [v for v in active if nxt[v] == I or nxt[v] == D]
 
-    if infected:
-        pressure = [0] * n
-        for v in infected:
-            for u in net.adj[v]:
-                pressure[u] += 1
-        comp = 1.0 - p.beta
-        for v in range(n):
-            if cur[v] == S and pressure[v]:
-                if rng.random() < 1.0 - comp ** pressure[v]:
-                    nxt[v] = I
+    # infection pass: every S neighbor of an I node in id order, one draw each
+    adj = net.adj
+    pressure = Counter([u for v in infected for u in adj[v] if cur[u] == S])
+    comp = 1.0 - p.beta
+    caught = [v for v in sorted(pressure) if draw() < 1.0 - comp ** pressure[v]]
+    for v in caught:
+        nxt[v] = I
 
-    return StateVector(tuple(nxt), sv.tick + 1)
+    if caught:
+        active = sorted(active + caught)
+    return _tracked(tuple(nxt), sv.tick + 1, legal, active, sorted(moved + caught))
+
+
+def _tracked(states, tick, kinds, active, changed=None) -> StateVector:
+    """A StateVector that carries its possible states, I/D ids and changed ids."""
+    sv = StateVector(states, tick)
+    object.__setattr__(sv, "_kinds", kinds)
+    object.__setattr__(sv, "_active", active)
+    object.__setattr__(sv, "_changed", changed)
+    return sv
 
 
 @dataclass
@@ -225,25 +276,24 @@ def run(
     sv = initial_state(net, seeds)
     rng = random.Random(rng_seed)
     events = [(0, v, S, I) for v in sorted(seeds)]
-    counts = [(0, *sv.counts())]
+    row = [0, net.node_count - len(seeds), len(seeds), 0, 0]  # tick, S, I, R, D
+    counts = [tuple(row)]
 
     while sv.tick < max_ticks:
-        row = counts[-1]
         if row[2] == 0 and row[4] == 0:  # no I, no D: nothing left to draw
-            if stop == "absorb":
-                break
-            counts.extend((t, row[1], row[2], row[3], row[4])
-                          for t in range(sv.tick + 1, max_ticks + 1))
+            if stop == "fixed_ticks":
+                counts.extend((t, *row[1:]) for t in range(sv.tick + 1, max_ticks + 1))
             break
         prev = sv.states
         sv = step(net, sv, p, rng)
-        t = sv.tick
-        events.extend(
-            (t, v, prev[v], sv.states[v])
-            for v in range(net.node_count)
-            if prev[v] != sv.states[v]
-        )
-        counts.append((t, *sv.counts()))
+        t = row[0] = sv.tick
+        cur = sv.states
+        for v in sv._changed:
+            a, b = prev[v], cur[v]
+            events.append((t, v, a, b))
+            row[_COLUMN[a]] -= 1
+            row[_COLUMN[b]] += 1
+        counts.append(tuple(row))
 
     return SimulationTrace(net.node_count, p.model, counts, events, sv.states)
 
@@ -277,6 +327,8 @@ class AggregateStats:
     min_counts: list[tuple[int, int, int, int]]
     max_counts: list[tuple[int, int, int, int]]
     outbreak_sizes: list[float] = field(default_factory=list)  # fraction, per replica
+    # replica 0's full trace, for callers that report one run; not in as_dict()
+    replica0: SimulationTrace | None = field(default=None, repr=False, compare=False)
 
     @property
     def mean_outbreak(self) -> float:
@@ -315,43 +367,59 @@ def monte_carlo(
 ) -> AggregateStats:
     """Run n_runs independent replicas and aggregate their traces.
 
-    Replica i always uses the seed derived from (base_seed, i), so the
-    result does not depend on n_jobs or scheduling order.
+    Replica i always uses the seed derived from (base_seed, i). Each
+    replica is folded into integer running sums, mins and maxs as soon as
+    it ends, which is exact in any order, so memory holds one trace (plus
+    replica 0's) and O(ticks + n_runs) numbers. n_jobs is accepted and
+    ignored: replicas run one after another, as threads do not speed up
+    this pure-Python loop.
     """
     if n_runs < 1:
         raise EpidemicError(f"n_runs must be >= 1, got {n_runs}")
 
-    def one(i: int) -> SimulationTrace:
-        return run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            traces = list(pool.map(one, range(n_runs)))
-    else:
-        traces = [one(i) for i in range(n_runs)]
-
-    length = max(len(tr.counts) for tr in traces)
-    ticks = list(range(length))
-    sums = [[0, 0, 0, 0] for _ in range(length)]
-    mins = [[None] * 4 for _ in range(length)]
-    maxs = [[None] * 4 for _ in range(length)]
-    for tr in traces:
-        for t in range(length):
-            row = tr.counts[t] if t < len(tr.counts) else tr.counts[-1]
-            for j in range(4):
-                x = row[j + 1]
-                sums[t][j] += x
-                if mins[t][j] is None or x < mins[t][j]:
-                    mins[t][j] = x
-                if maxs[t][j] is None or x > maxs[t][j]:
-                    maxs[t][j] = x
+    n = net.node_count
+    sums: list[list[int]] = []  # per tick: S, I, R, D summed over replicas
+    mins: list[list[int]] = []  # every count lies in [0, n], so n and 0 are
+    maxs: list[list[int]] = []  # the identities of min and max
+    # aggregate of the final rows of the replicas folded so far: a replica
+    # that ended earlier sits at its final row for every later tick
+    end_sum, end_min, end_max = [0] * 4, [n] * 4, [0] * 4
+    outbreak_sizes = []
+    replica0 = None
+    for i in range(n_runs):
+        tr = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
+        if replica0 is None:
+            replica0 = tr
+        rows = tr.counts
+        while len(sums) < len(rows):
+            sums.append(end_sum[:])
+            mins.append(end_min[:])
+            maxs.append(end_max[:])
+        last = rows[-1]
+        for t in range(len(sums)):
+            row = rows[t] if t < len(rows) else last
+            _fold(sums[t], mins[t], maxs[t], row)
+        _fold(end_sum, end_min, end_max, last)
+        outbreak_sizes.append(len(tr.ever_infected) / n)
 
     return AggregateStats(
-        node_count=net.node_count,
+        node_count=n,
         n_runs=n_runs,
-        ticks=ticks,
+        ticks=list(range(len(sums))),
         mean_counts=[tuple(x / n_runs for x in row) for row in sums],
         min_counts=[tuple(row) for row in mins],
         max_counts=[tuple(row) for row in maxs],
-        outbreak_sizes=[len(tr.ever_infected) / net.node_count for tr in traces],
+        outbreak_sizes=outbreak_sizes,
+        replica0=replica0,
     )
+
+
+def _fold(sums: list[int], mins: list[int], maxs: list[int], row) -> None:
+    """Add one (tick, S, I, R, D) row into per-compartment sum/min/max."""
+    for j in range(4):
+        x = row[j + 1]
+        sums[j] += x
+        if x < mins[j]:
+            mins[j] = x
+        if x > maxs[j]:
+            maxs[j] = x

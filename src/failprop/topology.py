@@ -39,6 +39,10 @@ class TopologyError(ValueError):
     """Bad graph input: parse errors, invariant violations, bad parameters."""
 
 
+class GeneratorParamError(TopologyError):
+    """A generator parameter of the wrong kind: a usage error, exit code 2."""
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable two-plane graph. Safe to share across concurrent runs.
@@ -237,6 +241,8 @@ def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
         pairs.append(e)
 
     ids = sorted(set(resolve[t] for t in node_tokens)) if node_tokens else []
+    if ids and ids[0] < 0:
+        raise TopologyError(f"negative node id {ids[0]}")
     if declared_count is not None:
         n = declared_count
         if ids and ids[-1] >= n:
@@ -361,29 +367,31 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Network:
     return Network.from_edges(n, pairs)
 
 
+# generator, its parameter names (all integers except er's p), takes a seed
 _GENERATORS = {
-    "ring": (ring, 1, "ring:n"),
-    "grid": (grid, 2, "grid:rows:cols"),
-    "er": (erdos_renyi, 2, "er:n:p"),
-    "erdos_renyi": (erdos_renyi, 2, "erdos_renyi:n:p"),
-    "ba": (barabasi_albert, 2, "ba:n:m"),
-    "barabasi_albert": (barabasi_albert, 2, "barabasi_albert:n:m"),
+    "ring": (ring, ("n",), False),
+    "grid": (grid, ("rows", "cols"), False),
+    "er": (erdos_renyi, ("n", "p"), True),
+    "ba": (barabasi_albert, ("n", "m"), True),
 }
+_GENERATORS["erdos_renyi"] = _GENERATORS["er"]
+_GENERATORS["barabasi_albert"] = _GENERATORS["ba"]
 
 
 def generate_topology(kind: str, params: Iterable[float], seed: int = 0) -> Network:
     """Dispatch to a named generator; deterministic for fixed (kind, params, seed)."""
     if kind not in _GENERATORS:
         raise TopologyError(f"unknown generator {kind!r} (choices: ring, grid, er, ba)")
-    fn, arity, usage = _GENERATORS[kind]
+    fn, names, seeded = _GENERATORS[kind]
     args = list(params)
-    if len(args) != arity:
-        raise TopologyError(f"{kind} takes {arity} parameter(s): {usage}")
-    if kind in ("er", "erdos_renyi"):
-        return fn(int(args[0]), float(args[1]), seed)
-    if kind in ("ba", "barabasi_albert"):
-        return fn(int(args[0]), int(args[1]), seed)
-    return fn(*(int(a) for a in args))
+    if len(args) != len(names):
+        raise TopologyError(f"{kind} takes {len(names)} parameter(s): {kind}:{':'.join(names)}")
+    for i, name in enumerate(names):
+        x = float(args[i])
+        if name != "p" and not x.is_integer():
+            raise GeneratorParamError(f"{kind} parameter {name} must be an integer, got {x}")
+        args[i] = x if name == "p" else int(x)
+    return fn(*args, seed) if seeded else fn(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -282,3 +282,18 @@ def test_unknown_preset_exits_2(tmp_path, capsys):
     assert main(["epidemic", "--config", "no-such-preset",
                  "--out", str(tmp_path / "o")]) == 2
     assert "no preset" in capsys.readouterr().err
+
+
+def test_gen_non_integer_size_exits_2(tmp_path, capsys):
+    path = tmp_path / "ba.edges"
+    assert main(["gen", "ba", "10", "2.9", "--out", str(path)]) == 2
+    assert "parameter m must be an integer" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_config_generate_non_integer_size_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SI_RING_CFG.replace("generate=ring:10", "generate=ring:10.7"))
+    out = tmp_path / "o"
+    assert main(["epidemic", "--config", cfg, "--out", str(out)]) == 2
+    assert "parameter n must be an integer, got 10.7" in capsys.readouterr().err
+    assert not out.exists()

@@ -263,3 +263,24 @@ def test_controllers_not_counted_in_dp_warning():
     text = "0 1\n1 2\n[roles]\n2=controller\n"
     report = validate(load_edge_list(text))
     assert not any("DP disconnected" in w for w in report.warnings)
+
+
+def test_generate_topology_rejects_non_integer_sizes():
+    with pytest.raises(TopologyError, match="ring parameter n must be an integer, got 10.7"):
+        generate_topology("ring", [10.7])
+    with pytest.raises(TopologyError, match="parameter m must be an integer"):
+        generate_topology("ba", [10, 2.9])
+    with pytest.raises(TopologyError, match="parameter cols must be an integer"):
+        generate_topology("grid", [3, 2.5])
+    with pytest.raises(TopologyError, match="parameter n must be an integer"):
+        generate_topology("er", [12.5, 0.5])
+    # integral floats are sizes, er's p stays a probability
+    assert generate_topology("ring", [10.0]).node_count == 10
+    assert generate_topology("er", [10.0, 0.5], 3) == generate_topology("er", [10, 0.5], 3)
+
+
+def test_load_edge_list_reports_negative_id():
+    with pytest.raises(TopologyError, match="negative node id -1"):
+        load_edge_list("-1 0\n")
+    with pytest.raises(TopologyError, match="negative node id -2"):
+        load_edge_list("0 1\n1 -2\n[nodes]\ncount=3\n")
