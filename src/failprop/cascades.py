@@ -16,6 +16,19 @@ Two engines share one trace shape:
 Both iterations are monotone (failed stays failed), so the outcome does
 not depend on evaluation order; the final recorded round is always the
 quiet one that confirmed the fixed point.
+
+Rounds are incremental, and exactly equal to recomputing from scratch,
+because a round only ever removes nodes (or controllers):
+
+* A flow keeps last round's path when every node on it is still alive,
+  and a flow that found no path stays dropped; only flows whose path
+  crossed a newly failed node are routed again. Removing nodes never
+  shortens a distance (Ramalingam & Reps 1996), so a surviving path is
+  still shortest, and it was the extreme of a tie set that can only have
+  shrunk; an unreachable destination stays unreachable. Loads are still
+  summed afresh in flow order, so every float is the same.
+* A switch keeps its controller unless that controller has failed: its
+  earlier preferences were already down and stay down.
 """
 
 from __future__ import annotations
@@ -49,8 +62,6 @@ class Injection(NamedTuple):
 
 def _fmt(x) -> str:
     # compact numbers for CSV/JSON text: 180.0 -> "180", inf -> "inf"
-    if x == INF:
-        return "inf"
     if float(x).is_integer():
         return str(int(x))
     return repr(float(x))
@@ -170,10 +181,21 @@ def validate_horizontal(net: Network, sc: HorizontalScenario) -> list[str]:
 # ---------------------------------------------------------------------------
 # vertical: controller failover overload
 
-def assign_switches(net: Network, failed_controllers: set[int]) -> dict[int, int | None]:
-    """Map each switch to its first live preferred controller, else None."""
-    out: dict[int, int | None] = {}
-    for sw in net.switches():
+def assign_switches(net: Network, failed_controllers: set[int],
+                    prev: dict[int, int | None] | None = None) -> dict[int, int | None]:
+    """Map each switch to its first live preferred controller, else None.
+
+    `prev` is an assignment made under a subset of `failed_controllers`;
+    given it, only switches whose controller has since failed are
+    reassigned, which yields the same map (in the same switch order).
+    """
+    if prev is None:
+        out: dict[int, int | None] = {}
+        stale = net.switches()
+    else:
+        out = dict(prev)
+        stale = [sw for sw, c in prev.items() if c in failed_controllers]
+    for sw in stale:
         out[sw] = next(
             (c for c in net.controller_prefs.get(sw, ()) if c not in failed_controllers),
             None,
@@ -199,30 +221,29 @@ class VerticalTerminal:
     rounds: int
 
 
-def _effective_rate(sc: VerticalScenario, sw: int) -> float:
-    rate = sc.base_rate.get(sw, 0.0)
-    if sc.attack is not None and sc.attack[0] == sw:
-        rate += sc.attack[1]
-    return rate
-
-
 def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
     """Iterate failover and overload to the fixed point.
 
-    Each round reassigns every switch, sums effective request rates per
-    live controller, and fails all controllers strictly over capacity at
-    once. The loop always ends with one quiet round and never needs more
-    than controller_count + 1 rounds total.
+    Each round reassigns the switches whose controller failed, sums
+    effective request rates per live controller in switch order, and
+    fails all controllers strictly over capacity at once. The loop always
+    ends with one quiet round and never needs more than
+    controller_count + 1 rounds total.
     """
     warnings = validate_vertical(net, sc)
+    rate = {sw: sc.base_rate.get(sw, 0.0) for sw in net.switches()}
+    if sc.attack is not None:
+        rate[sc.attack[0]] += sc.attack[1]
+    controllers = net.controllers()
     failed: set[int] = set()
     rounds: list[VerticalRound] = []
+    assignment = None
     while True:
-        assignment = assign_switches(net, failed)
-        loads = {c: 0.0 for c in net.controllers() if c not in failed}
+        assignment = assign_switches(net, failed, assignment)
+        loads = {c: 0.0 for c in controllers if c not in failed}
         for sw, c in assignment.items():
             if c is not None:
-                loads[c] += _effective_rate(sc, sw)
+                loads[c] += rate[sw]
         now = frozenset(
             c for c, load in loads.items()
             if load > sc.controller_capacity.get(c, INF)
@@ -231,7 +252,7 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
         if not now:
             break
         failed |= now
-    assert len(rounds) <= len(net.controllers()) + 1
+    assert len(rounds) <= len(controllers) + 1
     last = rounds[-1]
     terminal = VerticalTerminal(
         failed_controllers=frozenset(failed),
@@ -259,14 +280,17 @@ def route_demand(net: Network, alive: set[int], src: int, dst: int,
     if src not in alive or dst not in alive:
         return None
     # distances to dst, then greedy walk: picking the extremal neighbor one
-    # step closer at each hop yields the extremal tied path
+    # step closer at each hop yields the extremal tied path. The walk reads
+    # only levels below dist[src], which are complete once src is reached.
+    adj = net.adj
     dist = {dst: 0}
     queue = deque([dst])
-    while queue:
+    while queue and src not in dist:
         v = queue.popleft()
-        for u in net.adj[v]:
+        d = dist[v] + 1
+        for u in adj[v]:
             if u in alive and u not in dist:
-                dist[u] = dist[v] + 1
+                dist[u] = d
                 queue.append(u)
     if src not in dist:
         return None
@@ -274,7 +298,7 @@ def route_demand(net: Network, alive: set[int], src: int, dst: int,
     path = [src]
     cur = src
     while cur != dst:
-        cur = pick(u for u in net.adj[cur] if u in alive and dist.get(u, -1) == dist[cur] - 1)
+        cur = pick(u for u in adj[cur] if u in alive and dist.get(u, -1) == dist[cur] - 1)
         path.append(cur)
     return path
 
@@ -285,11 +309,13 @@ class LoadMap:
 
     Every routed demand adds its volume to every node on its path,
     endpoints included. Entries in dropped are (kind, src, dst, volume)
-    with kind "demand" or "injection".
+    with kind "demand" or "injection". `paths` holds each flow's path (None
+    if dropped) in flow order, for the next round to reuse.
     """
 
     load: dict[int, float]
     dropped: tuple[tuple[str, int, int, float], ...] = ()
+    paths: tuple[list[int] | None, ...] = field(default=(), repr=False, compare=False)
 
 
 def _all_flows(sc: HorizontalScenario):
@@ -300,18 +326,29 @@ def _all_flows(sc: HorizontalScenario):
     return flows
 
 
-def compute_loads(net: Network, alive: set[int], sc: HorizontalScenario) -> LoadMap:
-    """Route every demand (and the injection) over `alive`, sum node loads."""
+def compute_loads(net: Network, alive: set[int], sc: HorizontalScenario,
+                  prev: LoadMap | None = None) -> LoadMap:
+    """Route every demand (and the injection) over `alive`, sum node loads.
+
+    `prev` is this scenario's LoadMap over a superset of `alive`; given
+    it, a flow whose path avoids every removed node keeps that path, a
+    dropped flow stays dropped, and only the rest are routed again.
+    """
     load = {v: 0.0 for v in alive}
     dropped = []
-    for kind, src, dst, volume in _all_flows(sc):
-        path = route_demand(net, alive, src, dst, sc.misroute)
+    paths = []
+    for i, (kind, src, dst, volume) in enumerate(_all_flows(sc)):
+        if prev is not None and (prev.paths[i] is None or alive.issuperset(prev.paths[i])):
+            path = prev.paths[i]
+        else:
+            path = route_demand(net, alive, src, dst, sc.misroute)
+        paths.append(path)
         if path is None:
             dropped.append((kind, src, dst, volume))
             continue
         for v in path:
             load[v] += volume
-    return LoadMap(load, tuple(dropped))
+    return LoadMap(load, tuple(dropped), tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -335,16 +372,18 @@ def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
     """Iterate routing and overflow to the fixed point.
 
     Controllers never carry data traffic, so the alive set starts as all
-    non-controller nodes. Each round recomputes loads over survivors and
-    fails everything strictly over capacity at once; ends with a quiet
-    round, after at most node_count rounds.
+    non-controller nodes. Each round reroutes the flows that crossed a
+    failed node, sums loads over survivors and fails everything strictly
+    over capacity at once; ends with a quiet round, after at most
+    node_count rounds.
     """
     warnings = validate_horizontal(net, sc)
     alive = {v for v in range(net.node_count) if net.roles[v] != CONTROLLER}
     failed: set[int] = set()
     rounds: list[HorizontalRound] = []
+    lm = None
     while True:
-        lm = compute_loads(net, alive, sc)
+        lm = compute_loads(net, alive, sc, lm)
         now = frozenset(
             v for v, load in lm.load.items()
             if load > sc.node_capacity.get(v, INF)
@@ -381,33 +420,28 @@ class CascadeTrace:
     terminal: VerticalTerminal | HorizontalTerminal | None = None
     warnings: tuple[str, ...] = ()
 
-    def _subjects(self) -> tuple[int, ...]:
-        if self.kind == "vertical":
-            return self.net.controllers()
-        return tuple(v for v in range(self.net.node_count)
-                     if self.net.roles[v] != CONTROLLER)
-
-    def _cap_of(self, subject: int) -> float:
-        if self.kind == "vertical":
-            return self.scenario.controller_capacity.get(subject, INF)
-        return self.scenario.node_capacity.get(subject, INF)
-
     def csv(self) -> str:
         """Per-round per-subject rows: round,<id>,load,capacity,status."""
-        header = "round,controller,load,capacity,status" if self.kind == "vertical" \
-            else "round,node,load,capacity,status"
+        if self.kind == "vertical":
+            header = "round,controller,load,capacity,status"
+            subjects = self.net.controllers()
+            caps = self.scenario.controller_capacity
+        else:
+            header = "round,node,load,capacity,status"
+            subjects = [v for v in range(self.net.node_count)
+                        if self.net.roles[v] != CONTROLLER]
+            caps = self.scenario.node_capacity
+        columns = [(s, _fmt(caps.get(s, INF))) for s in subjects]
         lines = [header]
         for rnd in self.rounds:
-            for subject in self._subjects():
+            for subject, cap in columns:
                 if subject in rnd.failed_before:
                     load, status = "", "down"
                 elif subject in rnd.failed_now:
                     load, status = _fmt(rnd.loads[subject]), "failed"
                 else:
                     load, status = _fmt(rnd.loads[subject]), "ok"
-                lines.append(
-                    f"{rnd.index},{subject},{load},{_fmt(self._cap_of(subject))},{status}"
-                )
+                lines.append(f"{rnd.index},{subject},{load},{cap},{status}")
         return "\n".join(lines) + "\n"
 
     def dropped_csv(self) -> str:

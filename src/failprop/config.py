@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cascades import Demand, HorizontalScenario, Injection, VerticalScenario
+from .cascades import Demand, HorizontalScenario, Injection, VerticalScenario, _fmt
 from .epidemic import EpidemicParams
 from .topology import Network, TopologyError, generate_topology, load_edge_list
 
@@ -97,12 +97,6 @@ def _as_bool(value: str, name: str) -> bool:
     if low in ("false", "no", "0"):
         return False
     raise ConfigError(f"{name} must be true or false, got {value!r}")
-
-
-def _fmt(x: float) -> str:
-    if float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cascades import CascadeTrace
+from .cascades import CascadeTrace, _fmt
 from .epidemic import D, EpidemicParams, SimulationTrace, StateVector, monte_carlo
 from .rng import derive_seed
 from .topology import Network, connected_components
@@ -102,12 +102,6 @@ class SweepResult:
         th = self.threshold_estimate
         lines.append(f"threshold_estimate={'none' if th is None else _fmt(th)}")
         return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    if float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
 
 
 def threshold_sweep(
