@@ -306,15 +306,25 @@ def resolve_seeds(cfg: ExperimentConfig, net: Network) -> tuple[int, ...]:
     return tuple(resolve_node(net, t, "seeds") for t in cfg.seed_tokens)
 
 
+def _node_values(net: Network, lines, name: str) -> dict[int, float]:
+    """Per-node numbers of a [capacity] or [rate] section; two tokens that
+    name the same node (an alias and its id, say) are an error."""
+    out: dict[int, float] = {}
+    token_of: dict[int, str] = {}
+    for k, v in lines:
+        node = resolve_node(net, k, name)
+        if node in out:
+            raise ConfigError(
+                f"{name}: {token_of[node]!r} and {k!r} name the same node {node}"
+            )
+        token_of[node] = k
+        out[node] = _as_float(v, f"{name} {k}")
+    return out
+
+
 def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScenario:
-    capacity = {
-        resolve_node(net, k, "capacity"): _as_float(v, f"capacity {k}")
-        for k, v in cfg.capacity_lines
-    }
-    rate = {
-        resolve_node(net, k, "rate"): _as_float(v, f"rate {k}")
-        for k, v in cfg.rate_lines
-    }
+    capacity = _node_values(net, cfg.capacity_lines, "capacity")
+    rate = _node_values(net, cfg.rate_lines, "rate")
     attack = None
     if cfg.attack_line is not None:
         k, v = cfg.attack_line
@@ -323,10 +333,7 @@ def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScen
 
 
 def build_horizontal_scenario(cfg: ExperimentConfig, net: Network) -> HorizontalScenario:
-    capacity = {
-        resolve_node(net, k, "capacity"): _as_float(v, f"capacity {k}")
-        for k, v in cfg.capacity_lines
-    }
+    capacity = _node_values(net, cfg.capacity_lines, "capacity")
     demands = tuple(
         Demand(
             resolve_node(net, s, "demand src"),

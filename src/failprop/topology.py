@@ -15,9 +15,13 @@ Edge-list file format (UTF-8, `#` starts a comment anywhere on a line):
     [controllers]     optional; ordered controller preference per switch
     0:3,4
 
-Node tokens may be names instead of integers; names are mapped to dense
-ids in order of first appearance and the mapping is kept on the Network
-as an alias table.
+A node token that `int()` reads (`3`, `03`, `+3`) is that id. If any
+token is not an integer, every token is a name: names get dense ids in
+order of first appearance (edge ends line by line, then role ids, then
+each switch followed by its controllers), kept on the Network as an
+alias table. A node may have one `[roles]` line and one `[controllers]`
+line, and `[nodes]` one `count=` line; a repeat is an error, as is any
+malformed line, reported with its line number.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice, repeat, starmap
+from operator import eq, itemgetter, methodcaller
 from typing import IO, Iterable
 
 EDGE_SWITCH = "edge_switch"
@@ -33,6 +39,7 @@ CONTROLLER = "controller"
 GENERIC = "generic"
 ROLES = (EDGE_SWITCH, CORE_SWITCH, CONTROLLER, GENERIC)
 SWITCH_ROLES = (EDGE_SWITCH, CORE_SWITCH)
+_ROLE_SET = frozenset(ROLES)
 
 
 class TopologyError(ValueError):
@@ -64,9 +71,10 @@ class Network:
             raise TopologyError("node_count must be >= 1")
         if len(self.roles) != n:
             raise TopologyError(f"roles has {len(self.roles)} entries for {n} nodes")
-        for v, role in enumerate(self.roles):
-            if role not in ROLES:
-                raise TopologyError(f"node {v}: unknown role {role!r}")
+        if not _ROLE_SET.issuperset(self.roles):
+            for v, role in enumerate(self.roles):
+                if role not in ROLES:
+                    raise TopologyError(f"node {v}: unknown role {role!r}")
         adj: list[list[int]] = [[] for _ in range(n)]
         for e in self.edges:
             u, v = e
@@ -76,23 +84,35 @@ class Network:
                 raise TopologyError(f"edge {e} out of range or not normalized")
             adj[u].append(v)
             adj[v].append(u)
-        for sw, prefs in self.controller_prefs.items():
-            if not (0 <= sw < n):
-                raise TopologyError(f"controller_prefs: unknown switch id {sw}")
-            if self.roles[sw] not in SWITCH_ROLES:
-                raise TopologyError(
-                    f"controller_prefs: node {sw} has role {self.roles[sw]}, not a switch"
-                )
-            if len(set(prefs)) != len(prefs):
-                raise TopologyError(f"controller_prefs: duplicate controller for switch {sw}")
-            for c in prefs:
-                if not (0 <= c < n):
-                    raise TopologyError(f"controller_prefs: unknown controller id {c}")
-                if self.roles[c] != CONTROLLER:
+        if self.controller_prefs and not self._prefs_ok():
+            for sw, prefs in self.controller_prefs.items():
+                if not (0 <= sw < n):
+                    raise TopologyError(f"controller_prefs: unknown switch id {sw}")
+                if self.roles[sw] not in SWITCH_ROLES:
                     raise TopologyError(
-                        f"controller_prefs: node {c} has role {self.roles[c]}, not controller"
+                        f"controller_prefs: node {sw} has role {self.roles[sw]}, not a switch"
                     )
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(x)) for x in adj))
+                if len(set(prefs)) != len(prefs):
+                    raise TopologyError(f"controller_prefs: duplicate controller for switch {sw}")
+                for c in prefs:
+                    if not (0 <= c < n):
+                        raise TopologyError(f"controller_prefs: unknown controller id {c}")
+                    if self.roles[c] != CONTROLLER:
+                        raise TopologyError(
+                            f"controller_prefs: node {c} has role {self.roles[c]}, not controller"
+                        )
+        object.__setattr__(self, "_adj", tuple(map(tuple, map(sorted, adj))))
+
+    def _prefs_ok(self) -> bool:
+        """Every key a switch, every list distinct controllers: set tests in bulk."""
+        switches = set(self.switches())
+        controllers = set(self.controllers())
+        lists = self.controller_prefs.values()
+        return (
+            switches.issuperset(self.controller_prefs)
+            and all(map(controllers.issuperset, lists))
+            and list(map(len, map(set, lists))) == list(map(len, lists))
+        )
 
     @classmethod
     def from_edges(
@@ -104,21 +124,26 @@ class Network:
         aliases: dict[str, int] | None = None,
     ) -> "Network":
         """Build a Network from unordered edge pairs, rejecting duplicates."""
-        seen: set[tuple[int, int]] = set()
-        for u, v in pairs:
-            if u == v:
-                raise TopologyError(f"self-loop at node {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise TopologyError(f"duplicate edge {u} {v}")
-            seen.add(e)
+        pairs = list(pairs)  # may be a generator
+        # dict.fromkeys: a set grown item by item can take three times the
+        # memory, and a frozenset copied from a dict is sized to its contents
+        edges = dict.fromkeys([(u, v) if u < v else (v, u) for u, v in pairs])
+        if len(edges) != len(pairs) or any(starmap(eq, edges)):
+            seen: set[tuple[int, int]] = set()
+            for u, v in pairs:
+                if u == v:
+                    raise TopologyError(f"self-loop at node {u}")
+                e = (u, v) if u < v else (v, u)
+                if e in seen:
+                    raise TopologyError(f"duplicate edge {u} {v}")
+                seen.add(e)
         role_list = [GENERIC] * node_count
         for v, role in (roles or {}).items():
             if not (0 <= v < node_count):
                 raise TopologyError(f"role for unknown node id {v}")
             role_list[v] = role
         prefs = {sw: tuple(cs) for sw, cs in (controller_prefs or {}).items()}
-        return cls(node_count, tuple(role_list), frozenset(seen), prefs, aliases)
+        return cls(node_count, tuple(role_list), frozenset(edges), prefs, aliases)
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -150,119 +175,184 @@ def _err(lineno: int, msg: str) -> TopologyError:
     return TopologyError(f"line {lineno}: {msg}")
 
 
+def _first(flags, linenos: list[int], lines: list[str], msg: str) -> tuple[int, str]:
+    """(line number, message) of the first line whose flag is set."""
+    i = next(i for i, flag in enumerate(flags) if flag)
+    return linenos[i], msg.format(lines[i])
+
+
+def _field(lines: list[str], sep: str, i: int) -> list[str]:
+    """Field i of each line's partition at `sep` (0 before it, 2 after it)."""
+    return list(map(itemgetter(i), map(methodcaller("partition", sep), lines)))
+
+
+def _chunks(items: Iterable, sizes: Iterable[int]) -> list[tuple]:
+    """Consecutive runs of `items`, one tuple per size."""
+    it = iter(items)
+    return list(map(tuple, map(islice, repeat(it), sizes)))
+
+
+def _scan(text: str):
+    """The line pass: strip comments, cut the document into sections and
+    check the shape of every line.
+
+    Returns each kind of line as its line numbers plus its node tokens,
+    kept in flat lists: edge lines as (numbers, u tokens, v tokens), role
+    lines as (numbers, ids, roles), controller lines as (numbers, switches,
+    controllers, list lengths); and the declared node count. A malformed
+    line raises its `line N:` error; of several, the first in the file
+    does, as in a line-by-line reading.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    lines = list(map(str.strip, lines))
+    heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
+    # section -> (line numbers, lines), blank lines left out
+    body: dict[str, tuple[list[int], list[str]]] = {s: ([], []) for s in ("", *_SECTIONS)}
+    errors: list[tuple[int, str]] = []  # the first bad line of each section
+    section, start = "", 0
+    for end in heads + [len(lines)]:
+        linenos, kept = body[section]
+        seg = lines[start:end]
+        linenos.extend(compress(range(start + 1, end + 1), seg))
+        kept.extend(filter(None, seg))
+        if end == len(lines):
+            break
+        section = lines[end][1:-1].strip().lower()
+        if section not in _SECTIONS:
+            errors.append((end + 1, f"unknown section [{section}]"))
+            break  # nothing after it is read
+        start = end + 1
+
+    edge_nos, kept = body[""]
+    if not set(map(len, map(str.split, kept))) <= {2}:
+        errors.append(_first((len(x.split()) != 2 for x in kept), edge_nos, kept,
+                             "expected 'u v', got {!r}"))
+    ends = " ".join(kept).split()
+
+    declared_count: int | None = None
+    for lineno, line in zip(*body["nodes"]):
+        key, sep, value = line.partition("=")
+        if sep != "=" or key.strip() != "count":
+            msg = f"expected 'count=N' in [nodes], got {line!r}"
+        elif declared_count is not None:
+            msg = "repeated count= in [nodes]"
+        else:
+            try:
+                declared_count = int(value.strip())
+            except ValueError:
+                msg = f"bad node count {value.strip()!r}"
+            else:
+                if declared_count >= 1:
+                    continue
+                msg = "node count must be >= 1"
+        errors.append((lineno, msg))
+        break
+
+    role_nos, role_lines = body["roles"]
+    pref_nos, pref_lines = body["controllers"]
+    for linenos, kept, sep, msg in (
+        (role_nos, role_lines, "=", "expected 'id=role', got {!r}"),
+        (pref_nos, pref_lines, ":", "expected 'switch:ctrl,ctrl,...', got {!r}"),
+    ):
+        if not all(map(str.__contains__, kept, repeat(sep))):
+            errors.append(_first((sep not in x for x in kept), linenos, kept, msg))
+    if errors:
+        raise _err(*min(errors))
+
+    role_ids = list(map(str.strip, _field(role_lines, "=", 0)))
+    role_names = list(map(str.strip, _field(role_lines, "=", 2)))
+    switches = list(map(str.strip, _field(pref_lines, ":", 0)))
+    rests = _field(pref_lines, ":", 2)
+    flat = f",{','.join(rests)},"
+    if ",," in flat or len(flat.split()) > 1:
+        # some list has blanks or empty items to drop
+        lists = [list(filter(None, map(str.strip, rest.split(",")))) for rest in rests]
+        ctrls = list(chain.from_iterable(lists))
+        sizes = list(map(len, lists))
+    else:
+        ctrls = flat[1:-1].split(",")
+        sizes = [rest.count(",") + 1 for rest in rests]
+
+    return (
+        (edge_nos, ends[0::2], ends[1::2]),
+        (role_nos, role_ids, role_names),
+        (pref_nos, switches, ctrls, sizes),
+        declared_count,
+    )
+
+
 def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
     """Parse an edge-list document into a validated Network.
 
     `source` is the text itself or an open text stream. `roles` optionally
     adds or overrides role annotations (keyed by id or alias name) on top
     of the file's own `[roles]` section.
+
+    Each distinct node token goes through `int()` once, and valid input is
+    checked in bulk; a line-by-line loop runs only when a bulk check fails,
+    to raise the message that names the first bad line.
     """
     text = source if isinstance(source, str) else source.read()
-    section = ""
-    edge_tokens: list[tuple[int, str, str]] = []  # (lineno, u, v)
-    role_lines: list[tuple[int, str, str]] = []  # (lineno, token, role)
-    pref_lines: list[tuple[int, str, list[str]]] = []  # (lineno, token, [tokens])
-    declared_count: int | None = None
+    edge_lines, role_lines, pref_lines, declared_count = _scan(text)
+    edge_nos, u_tokens, v_tokens = edge_lines
+    role_nos, role_tokens, role_names = role_lines
+    pref_nos, switch_tokens, ctrl_tokens, sizes = pref_lines
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
-                raise _err(lineno, f"unknown section [{section}]")
-            continue
-        if section == "":
-            parts = line.split()
-            if len(parts) != 2:
-                raise _err(lineno, f"expected 'u v', got {line!r}")
-            edge_tokens.append((lineno, parts[0], parts[1]))
-        elif section == "nodes":
-            key, sep, value = line.partition("=")
-            if sep != "=" or key.strip() != "count":
-                raise _err(lineno, f"expected 'count=N' in [nodes], got {line!r}")
-            try:
-                declared_count = int(value.strip())
-            except ValueError:
-                raise _err(lineno, f"bad node count {value.strip()!r}") from None
-            if declared_count < 1:
-                raise _err(lineno, "node count must be >= 1")
-        elif section == "roles":
-            token, sep, role = line.partition("=")
-            if sep != "=":
-                raise _err(lineno, f"expected 'id=role', got {line!r}")
-            role_lines.append((lineno, token.strip(), role.strip()))
-        elif section == "controllers":
-            token, sep, rest = line.partition(":")
-            if sep != ":":
-                raise _err(lineno, f"expected 'switch:ctrl,ctrl,...', got {line!r}")
-            ctrls = [t.strip() for t in rest.split(",") if t.strip()]
-            pref_lines.append((lineno, token.strip(), ctrls))
-
-    node_tokens: list[str] = []
-    for _, u, v in edge_tokens:
-        node_tokens.extend((u, v))
-    for _, t, _ in role_lines:
-        node_tokens.append(t)
-    for _, t, cs in pref_lines:
-        node_tokens.append(t)
-        node_tokens.extend(cs)
-
-    def _is_int(tok: str) -> bool:
-        try:
-            int(tok)
-            return True
-        except ValueError:
-            return False
-
-    integer_mode = all(_is_int(t) for t in node_tokens)
+    distinct = dict.fromkeys(chain(u_tokens, v_tokens, role_tokens, switch_tokens, ctrl_tokens))
     aliases: dict[str, int] | None = None
-    if integer_mode:
-        resolve = {t: int(t) for t in node_tokens}
-    else:
-        # names get dense ids in order of first appearance
-        aliases = {}
-        for t in node_tokens:
-            if t not in aliases:
-                aliases[t] = len(aliases)
-        resolve = aliases
+    try:
+        resolve = dict(zip(distinct, map(int, distinct)))
+    except ValueError:
+        # names get dense ids in order of first appearance: edge ends, role
+        # ids, then each switch followed by its controllers
+        order = dict.fromkeys(chain(
+            chain.from_iterable(zip(u_tokens, v_tokens)),
+            role_tokens,
+            chain.from_iterable(map(chain, zip(switch_tokens), _chunks(ctrl_tokens, sizes))),
+        ))
+        aliases = resolve = dict(zip(order, range(len(order))))
+    get = resolve.__getitem__
 
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, ut, vt in edge_tokens:
-        u, v = resolve[ut], resolve[vt]
-        if u == v:
-            raise _err(lineno, f"self-loop at node {ut}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise _err(lineno, f"duplicate edge {ut} {vt}")
-        seen.add(e)
-        pairs.append(e)
+    us = list(map(get, u_tokens))
+    vs = list(map(get, v_tokens))
+    pairs = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
+    if len(dict.fromkeys(pairs)) != len(pairs) or any(map(eq, us, vs)):
+        seen: set[tuple[int, int]] = set()
+        for lineno, ut, vt, e in zip(edge_nos, u_tokens, v_tokens, pairs):
+            if e[0] == e[1]:
+                raise _err(lineno, f"self-loop at node {ut}")
+            if e in seen:
+                raise _err(lineno, f"duplicate edge {ut} {vt}")
+            seen.add(e)
 
-    ids = sorted(set(resolve[t] for t in node_tokens)) if node_tokens else []
-    if ids and ids[0] < 0:
-        raise TopologyError(f"negative node id {ids[0]}")
+    ids = set(resolve.values())
+    if ids and min(ids) < 0:
+        raise TopologyError(f"negative node id {min(ids)}")
     if declared_count is not None:
         n = declared_count
-        if ids and ids[-1] >= n:
-            raise TopologyError(f"node id {ids[-1]} exceeds declared count {n}")
+        if ids and max(ids) >= n:
+            raise TopologyError(f"node id {max(ids)} exceeds declared count {n}")
     else:
         if not ids:
             raise TopologyError("empty edge list and no [nodes] count")
-        n = ids[-1] + 1
-        if len(ids) != n or ids[0] != 0:
-            missing = sorted(set(range(n)) - set(ids))
+        n = max(ids) + 1
+        if len(ids) != n:
+            missing = sorted(set(range(n)) - ids)
             raise TopologyError(f"node ids not contiguous from 0 (missing {missing})")
+    # every token now names a node in [0, n)
 
-    role_map: dict[int, str] = {}
-    for lineno, token, role in role_lines:
-        if role not in ROLES:
-            raise _err(lineno, f"unknown role {role!r}")
-        v = resolve[token]
-        if v >= n:
-            raise _err(lineno, f"dangling role id {token}")
-        role_map[v] = role
+    role_ids = list(map(get, role_tokens))
+    role_map = dict(zip(role_ids, role_names))
+    if len(role_map) != len(role_ids) or not _ROLE_SET.issuperset(role_names):
+        first: dict[int, int] = {}
+        for lineno, token, role, v in zip(role_nos, role_tokens, role_names, role_ids):
+            if role not in ROLES:
+                raise _err(lineno, f"unknown role {role!r}")
+            if v in first:
+                raise _err(lineno, f"repeated role for node {token} (first on line {first[v]})")
+            first[v] = lineno
     for key, role in (roles or {}).items():
         if isinstance(key, int):
             v = key
@@ -277,18 +367,15 @@ def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
             raise TopologyError(f"dangling role id {key!r}")
         role_map[v] = role
 
-    prefs: dict[int, Iterable[int]] = {}
-    for lineno, token, ctrls in pref_lines:
-        sw = resolve[token]
-        if sw >= n:
-            raise _err(lineno, f"dangling switch id {token}")
-        cs = []
-        for ct in ctrls:
-            c = resolve[ct]
-            if c >= n:
-                raise _err(lineno, f"dangling controller id {ct}")
-            cs.append(c)
-        prefs[sw] = cs
+    switches = list(map(get, switch_tokens))
+    prefs = dict(zip(switches, _chunks(map(get, ctrl_tokens), sizes)))
+    if len(prefs) != len(switches):
+        first = {}
+        for lineno, token, sw in zip(pref_nos, switch_tokens, switches):
+            if sw in first:
+                raise _err(lineno, f"repeated controller list for switch {token} "
+                                   f"(first on line {first[sw]})")
+            first[sw] = lineno
 
     return Network.from_edges(n, pairs, role_map, prefs, aliases)
 
@@ -433,20 +520,9 @@ def connected_components(net: Network, nodes: Iterable[int] | None = None) -> li
 
 
 def validate(net: Network) -> ValidationReport:
-    """Check structural invariants and collect scenario-readiness warnings."""
+    """Collect scenario-readiness warnings. Structural invariants need no
+    check here: a Network that violates one cannot be constructed."""
     report = ValidationReport()
-    for e in net.edges:
-        u, v = e
-        if u == v:
-            report.violations.append(f"self-loop at node {u}")
-        if not (0 <= u < v < net.node_count):
-            report.violations.append(f"edge {e} out of range")
-    for sw, prefs in net.controller_prefs.items():
-        if net.roles[sw] not in SWITCH_ROLES:
-            report.violations.append(f"prefs key {sw} is not a switch")
-        for c in prefs:
-            if net.roles[c] != CONTROLLER:
-                report.violations.append(f"pref target {c} is not a controller")
     dp_nodes = [v for v in range(net.node_count) if net.roles[v] != CONTROLLER]
     if len(dp_nodes) >= 2 and len(connected_components(net, dp_nodes)) > 1:
         report.warnings.append("DP disconnected")

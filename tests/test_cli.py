@@ -297,3 +297,22 @@ def test_config_generate_non_integer_size_exits_2(tmp_path, capsys):
     assert main(["epidemic", "--config", cfg, "--out", str(out)]) == 2
     assert "parameter n must be an integer, got 10.7" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,section,lines", [
+    ("vertical", "capacity", "ctl=5\n1=7\n"),
+    ("vertical", "rate", "sw=1\n0=2\n"),
+    ("horizontal", "capacity", "1=5\nctl=7\n"),
+])
+def test_cascade_rejects_two_tokens_for_one_node(tmp_path, capsys, kind, section, lines):
+    (tmp_path / "named.edges").write_text(
+        "sw ctl\n[roles]\nsw=edge_switch\nctl=controller\n[controllers]\nsw:ctl\n"
+    )
+    text = f"[topology]\nfile=named.edges\n\n[scenario]\nkind={kind}\n\n[{section}]\n{lines}"
+    out = tmp_path / "o"
+    assert main(["cascade", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    first, second = (line.split("=")[0] for line in lines.split())
+    node = 0 if "sw" in (first, second) else 1
+    assert (f"{section}: {first!r} and {second!r} name the same node {node}"
+            in capsys.readouterr().err)
+    assert not out.exists()

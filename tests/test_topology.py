@@ -284,3 +284,58 @@ def test_load_edge_list_reports_negative_id():
         load_edge_list("-1 0\n")
     with pytest.raises(TopologyError, match="negative node id -2"):
         load_edge_list("0 1\n1 -2\n[nodes]\ncount=3\n")
+
+
+def test_load_edge_list_rejects_repeated_keys():
+    with pytest.raises(TopologyError,
+                       match=r"line 5: repeated role for node 0 \(first on line 4\)"):
+        load_edge_list("0 1\n0 2\n[roles]\n0=edge_switch\n0=controller\n")
+    # 00 and 0 are one node
+    with pytest.raises(TopologyError, match="line 5: repeated role for node 00"):
+        load_edge_list("0 1\n[roles]\n1=controller\n0=edge_switch\n00=core_switch\n")
+    text = ("0 1\n0 2\n[roles]\n0=edge_switch\n1=controller\n2=controller\n"
+            "[controllers]\n0:1\n0:2\n")
+    with pytest.raises(TopologyError, match=r"line 9: repeated controller list for switch 0 "
+                                            r"\(first on line 8\)"):
+        load_edge_list(text)
+    with pytest.raises(TopologyError, match="line 4: repeated count= in"):
+        load_edge_list("0 1\n[nodes]\ncount=3\ncount=4\n")
+    # a repeated section header alone is no repeated key
+    net = load_edge_list("0 1\n[roles]\n0=edge_switch\n[roles]\n1=controller\n")
+    assert net.roles == (EDGE_SWITCH, CONTROLLER)
+
+
+def test_load_edge_list_aliases_follow_first_appearance():
+    text = ("b c\nc a\n[roles]\nd=controller\n[controllers]\ne:d\nb:d\n"
+            "[roles]\ne=edge_switch\nb=edge_switch\n")
+    net = load_edge_list(text)
+    assert list(net.aliases.items()) == [("b", 0), ("c", 1), ("a", 2), ("d", 3), ("e", 4)]
+    assert net.controller_prefs == {4: (3,), 0: (3,)}
+    # a switch first named in [controllers] comes before its controllers
+    net = load_edge_list("a b\n[controllers]\nx:y,z\n",
+                         roles={"x": EDGE_SWITCH, "y": CONTROLLER, "z": CONTROLLER})
+    assert list(net.aliases) == ["a", "b", "x", "y", "z"]
+
+
+def test_load_edge_list_reports_the_first_bad_line():
+    with pytest.raises(TopologyError, match="line 2: expected 'u v'"):
+        load_edge_list("0 1\n0 1 2\n[weights]\n")
+    with pytest.raises(TopologyError, match="line 3: expected 'switch:ctrl"):
+        load_edge_list("0 1\n[controllers]\n0;1\n[roles]\n0 controller\n")
+    with pytest.raises(TopologyError, match="line 3: bad node count"):
+        load_edge_list("0 1\n[nodes]\ncount=x\n[roles]\n0 controller\n[nodes]\nsize=3\n")
+
+
+def test_load_edge_list_integer_spellings_go_through_int():
+    net = load_edge_list("01 +2\n-0 2\n[nodes]\ncount=3\n")
+    assert net.aliases is None
+    assert net.edges == frozenset({(1, 2), (0, 2)})
+    with pytest.raises(TopologyError, match="line 2: duplicate edge 2 01"):
+        load_edge_list("1 2\n2 01\n")
+
+
+def test_load_edge_list_half_header_is_a_malformed_line():
+    with pytest.raises(TopologyError, match=r"line 2: expected 'u v', got '\[roles'"):
+        load_edge_list("0 1\n[roles\n0=controller\n")
+    with pytest.raises(TopologyError, match=r"line 3: expected 'id=role', got 'nodes\]'"):
+        load_edge_list("0 1\n[roles]\nnodes]\n")
