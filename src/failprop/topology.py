@@ -124,10 +124,11 @@ class Network:
         aliases: dict[str, int] | None = None,
     ) -> "Network":
         """Build a Network from unordered edge pairs, rejecting duplicates."""
-        pairs = list(pairs)  # may be a generator
+        if not isinstance(pairs, list):
+            pairs = list(pairs)  # may be a generator
         # dict.fromkeys: a set grown item by item can take three times the
         # memory, and a frozenset copied from a dict is sized to its contents
-        edges = dict.fromkeys([(u, v) if u < v else (v, u) for u, v in pairs])
+        edges = dict.fromkeys((u, v) if u < v else (v, u) for u, v in pairs)
         if len(edges) != len(pairs) or any(starmap(eq, edges)):
             seen: set[tuple[int, int]] = set()
             for u, v in pairs:
@@ -203,10 +204,7 @@ def _scan(text: str):
     line raises its `line N:` error; of several, the first in the file
     does, as in a line-by-line reading.
     """
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [raw.split("#", 1)[0] for raw in lines]
-    lines = list(map(str.strip, lines))
+    lines = list(map(str.strip, _field(text.splitlines(), "#", 0)))
     heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
     # section -> (line numbers, lines), blank lines left out
     body: dict[str, tuple[list[int], list[str]]] = {s: ([], []) for s in ("", *_SECTIONS)}
@@ -264,16 +262,10 @@ def _scan(text: str):
     role_ids = list(map(str.strip, _field(role_lines, "=", 0)))
     role_names = list(map(str.strip, _field(role_lines, "=", 2)))
     switches = list(map(str.strip, _field(pref_lines, ":", 0)))
-    rests = _field(pref_lines, ":", 2)
-    flat = f",{','.join(rests)},"
-    if ",," in flat or len(flat.split()) > 1:
-        # some list has blanks or empty items to drop
-        lists = [list(filter(None, map(str.strip, rest.split(",")))) for rest in rests]
-        ctrls = list(chain.from_iterable(lists))
-        sizes = list(map(len, lists))
-    else:
-        ctrls = flat[1:-1].split(",")
-        sizes = [rest.count(",") + 1 for rest in rests]
+    lists = [list(filter(None, map(str.strip, rest.split(","))))
+             for rest in _field(pref_lines, ":", 2)]
+    ctrls = list(chain.from_iterable(lists))
+    sizes = list(map(len, lists))
 
     return (
         (edge_nos, ends[0::2], ends[1::2]),
