@@ -93,7 +93,7 @@ def cmd_epidemic(args) -> int:
     seeds = cfgmod.resolve_seeds(cfg, net)
     agg = monte_carlo(
         net, seeds, cfg.model, cfg.max_ticks, cfg.stop,
-        n_runs=cfg.n_runs, base_seed=cfg.rng_seed, n_jobs=cfg.n_jobs,
+        n_runs=cfg.n_runs, base_seed=cfg.rng_seed,
     )
     # trace/events files show replica 0; summary aggregates all replicas
     tr = agg.replica0
@@ -114,7 +114,7 @@ def cmd_epidemic(args) -> int:
         },
     }
     _write(out / "summary.json", _json_text(summary))
-    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, net))
+    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, seeds))
     s, i, r, d = tr.counts[-1][1:]
     _say(
         f"epidemic: {cfg.n_runs} run(s), replica0 final S={s} I={i} R={r} D={d}, "
@@ -159,7 +159,7 @@ def cmd_cascade(args) -> int:
     _write(out / "summary.json", trace.terminal_json())
     if kind == "horizontal":
         _write(out / "dropped.csv", trace.dropped_csv())
-    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, net))
+    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, scenario=sc))
     for w in trace.warnings:
         _say(f"warning: {w}")
     t = trace.terminal
@@ -189,7 +189,7 @@ def cmd_sweep(args) -> int:
     result = threshold_sweep(
         net, seeds, cfg.model, cfg.grid,
         n_runs=cfg.n_runs, max_ticks=cfg.max_ticks, epsilon=cfg.epsilon,
-        base_seed=cfg.rng_seed, stop=cfg.stop, n_jobs=cfg.n_jobs,
+        base_seed=cfg.rng_seed, stop=cfg.stop,
     )
     out = _out_dir(args, cfg)
     _write(out / "sweep.csv", result.csv())
@@ -203,7 +203,7 @@ def cmd_sweep(args) -> int:
         "threshold_estimate": th,
     }
     _write(out / "summary.json", _json_text(summary))
-    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, net))
+    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, seeds))
     _say(
         f"sweep: {len(result.grid)} point(s), "
         f"threshold_estimate={'none' if th is None else th}"
@@ -247,7 +247,7 @@ def cmd_validate(args) -> int:
         print(line)
     _say(
         f"validate: {net.node_count} nodes, {net.edge_count()} edges, "
-        f"{len(report.violations)} violation(s), {len(report.warnings)} warning(s)"
+        f"{len(report.warnings)} warning(s)"
     )
     return EXIT_OK
 

@@ -6,8 +6,10 @@ describes one experiment: a topology source plus exactly one of an
 epidemic [model] or a cascade [scenario]. Node references in configs may
 use either integer ids or the name aliases of the topology file.
 
-`render_resolved` writes the effective experiment back out in canonical
-form (defaults explicit, aliases resolved to ids, seed included) so a run
+Raw node tokens are resolved once, against the Network, by `resolve_seeds`
+and `build_*_scenario`. `render_resolved` writes the experiment back out
+in canonical form from the seed ids or the scenario the run used
+(defaults explicit, aliases replaced by ids, seed included), so a run
 directory always carries enough to reproduce itself.
 """
 
@@ -101,8 +103,10 @@ def _as_bool(value: str, name: str) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment file; node references still carry their raw tokens
-    until a Network exists to resolve aliases against."""
+    """Parsed experiment file. Node references keep their raw tokens, since
+    aliases need a Network to resolve against; `resolve_seeds` and
+    `build_*_scenario` resolve them once, and `render_resolved` writes the
+    resolved values, not these tokens."""
 
     topology_file: str | None = None
     topology_generate: str | None = None
@@ -157,9 +161,11 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
             tau=_as_float(kv.get("tau", "0"), "tau"),
             gamma=_as_float(kv.get("gamma", "0"), "gamma"),
         )
-        if "seeds" not in kv or not kv["seeds"].strip():
+        cfg.seed_tokens = tuple(
+            t.strip() for t in kv.get("seeds", "").split(",") if t.strip()
+        )
+        if not cfg.seed_tokens:
             raise ConfigError("[model] needs a nonempty seeds= list")
-        cfg.seed_tokens = tuple(t.strip() for t in kv["seeds"].split(",") if t.strip())
 
     if "run" in sections:
         kv = _kv(sections["run"], "run",
@@ -301,8 +307,6 @@ def resolve_node(net: Network, token: str, name: str) -> int:
 
 
 def resolve_seeds(cfg: ExperimentConfig, net: Network) -> tuple[int, ...]:
-    if not cfg.seed_tokens:
-        raise ConfigError("[model] needs a nonempty seeds= list")
     return tuple(resolve_node(net, t, "seeds") for t in cfg.seed_tokens)
 
 
@@ -353,12 +357,15 @@ def build_horizontal_scenario(cfg: ExperimentConfig, net: Network) -> Horizontal
     return HorizontalScenario(capacity, demands, injection, cfg.misroute)
 
 
-def render_resolved(cfg: ExperimentConfig, net: Network) -> str:
-    """Canonical text for the effective experiment; reloading it reproduces
-    the run (defaults written out, aliases replaced by ids, seed explicit).
-    The output directory and n_jobs are deliberately left out: where
-    results land and the (ignored) job count are not part of the
-    experiment."""
+def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None) -> str:
+    """Canonical text for the experiment a run used; reloading it
+    reproduces the run (defaults written out, seed explicit). Nodes are
+    written as the ids the run resolved: `seeds` for an epidemic or sweep,
+    `scenario` (a VerticalScenario or HorizontalScenario) for a cascade.
+    [capacity] and [rate] keep the dicts' insertion order, which is file
+    order because `_node_values` rejects a node named twice. The output
+    directory and n_jobs are deliberately left out: where results land and
+    the (ignored) job count are not part of the experiment."""
     lines: list[str] = ["[topology]"]
     if cfg.topology_generate is not None:
         lines.append(f"generate={cfg.topology_generate}")
@@ -375,7 +382,7 @@ def render_resolved(cfg: ExperimentConfig, net: Network) -> str:
             f"delta1={_fmt(p.delta1)}",
             f"tau={_fmt(p.tau)}",
             f"gamma={_fmt(p.gamma)}",
-            "seeds=" + ",".join(str(v) for v in resolve_seeds(cfg, net)),
+            "seeds=" + ",".join(map(str, seeds)),
         ]
 
     lines += [
@@ -390,43 +397,27 @@ def render_resolved(cfg: ExperimentConfig, net: Network) -> str:
     if cfg.grid is not None:
         lines += ["", "[sweep]", "grid=" + ",".join(_fmt(b) for b in cfg.grid)]
 
-    if cfg.scenario_kind is not None:
-        lines += ["", "[scenario]", f"kind={cfg.scenario_kind}"]
-        if cfg.scenario_kind == "horizontal":
-            lines.append(f"misroute={'true' if cfg.misroute else 'false'}")
-        if cfg.capacity_lines:
-            lines += ["", "[capacity]"]
-            lines += [
-                f"{resolve_node(net, k, 'capacity')}={_fmt(_as_float(v, 'capacity'))}"
-                for k, v in cfg.capacity_lines
-            ]
-        if cfg.rate_lines:
-            lines += ["", "[rate]"]
-            lines += [
-                f"{resolve_node(net, k, 'rate')}={_fmt(_as_float(v, 'rate'))}"
-                for k, v in cfg.rate_lines
-            ]
-        if cfg.attack_line is not None:
-            k, v = cfg.attack_line
-            lines += ["", "[attack]",
-                      f"{resolve_node(net, k, 'attack')}={_fmt(_as_float(v, 'attack'))}"]
-        if cfg.demand_lines:
+    def values_section(name, mapping):
+        if mapping:
+            lines.extend(("", f"[{name}]"))
+            lines.extend([f"{v}={_fmt(x)}" for v, x in mapping.items()])
+
+    if cfg.scenario_kind == "vertical":
+        lines += ["", "[scenario]", "kind=vertical"]
+        values_section("capacity", scenario.controller_capacity)
+        values_section("rate", scenario.base_rate)
+        if scenario.attack is not None:
+            switch, rate = scenario.attack
+            lines += ["", "[attack]", f"{switch}={_fmt(rate)}"]
+    elif cfg.scenario_kind == "horizontal":
+        lines += ["", "[scenario]", "kind=horizontal",
+                  f"misroute={'true' if scenario.misroute else 'false'}"]
+        values_section("capacity", scenario.node_capacity)
+        if scenario.demands:
             lines += ["", "[demand]"]
-            lines += [
-                ",".join((
-                    str(resolve_node(net, s, "demand src")),
-                    str(resolve_node(net, d, "demand dst")),
-                    _fmt(_as_float(vol, "demand volume")),
-                ))
-                for s, d, vol in cfg.demand_lines
-            ]
-        if cfg.injection_line is not None:
-            e, x, vol = cfg.injection_line
-            lines += ["", "[injection]",
-                      ",".join((
-                          str(resolve_node(net, e, "injection entry")),
-                          str(resolve_node(net, x, "injection exit")),
-                          _fmt(_as_float(vol, "injection volume")),
-                      ))]
+            lines += [f"{d.src},{d.dst},{_fmt(d.volume)}" for d in scenario.demands]
+        if scenario.injection is not None:
+            e, x, vol = scenario.injection
+            lines += ["", "[injection]", f"{e},{x},{_fmt(vol)}"]
 
     return "\n".join(lines) + "\n"

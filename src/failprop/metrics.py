@@ -114,7 +114,6 @@ def threshold_sweep(
     epsilon: float = 0.05,
     base_seed: int = 0,
     stop: str = "absorb",
-    n_jobs: int = 1,
 ) -> SweepResult:
     """Mean outbreak fraction as beta walks the grid, template fixed otherwise.
 
@@ -135,7 +134,7 @@ def threshold_sweep(
         p = replace(template, beta=beta)
         agg = monte_carlo(
             net, seeds, p, max_ticks, stop,
-            n_runs=n_runs, base_seed=derive_seed(base_seed, i), n_jobs=n_jobs,
+            n_runs=n_runs, base_seed=derive_seed(base_seed, i),
         )
         response.append(agg.mean_outbreak)
         stderrs.append(agg.stderr_outbreak)

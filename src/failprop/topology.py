@@ -478,17 +478,10 @@ def generate_topology(kind: str, params: Iterable[float], seed: int = 0) -> Netw
 
 @dataclass
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def lines(self) -> list[str]:
-        return [f"violation: {m}" for m in self.violations] + [
-            f"warning: {m}" for m in self.warnings
-        ]
+        return [f"warning: {m}" for m in self.warnings]
 
 
 def connected_components(net: Network, nodes: Iterable[int] | None = None) -> list[set[int]]:

@@ -69,6 +69,12 @@ def test_epidemic_missing_topology_file_exits_3(tmp_path):
     assert main(["epidemic", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_epidemic_empty_seed_list_is_a_config_error_before_the_topology(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[topology]\nfile=gone.edges\n[model]\nmodel=SI\nbeta=1\nseeds=,\n")
+    assert main(["epidemic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "[model] needs a nonempty seeds= list" in capsys.readouterr().err
+
+
 def test_epidemic_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SI_RING_CFG)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -236,8 +242,7 @@ def test_gen_complete_er(tmp_path):
 def test_gen_into_directory(tmp_path):
     assert main(["gen", "ba", "30", "2", "--seed", "9", "--out", str(tmp_path) + "/"]) == 0
     net = load_edge_list(read(tmp_path / "ba.edges"))
-    report = validate(net)
-    assert report.ok and not report.warnings
+    assert not validate(net).warnings
 
 
 def test_gen_bad_params_exit_2(tmp_path, capsys):

@@ -268,11 +268,11 @@ def test_render_resolved_is_a_fixed_point(tmp_path):
     (tmp_path / "net.edges").write_text(VERTICAL_EDGES)
     cfg = parse_config(VERTICAL_CFG, base_dir=tmp_path)
     net = build_network(cfg)
-    once = render_resolved(cfg, net)
+    once = render_resolved(cfg, scenario=build_vertical_scenario(cfg, net))
     cfg2 = parse_config(once, base_dir=tmp_path)
     net2 = build_network(cfg2)
     assert net2.edges == net.edges
-    assert render_resolved(cfg2, net2) == once
+    assert render_resolved(cfg2, scenario=build_vertical_scenario(cfg2, net2)) == once
     # aliases are resolved away and the seed is explicit
     assert "s1" not in once.replace("net.edges", "")
     assert "rng_seed=0" in once
@@ -281,10 +281,10 @@ def test_render_resolved_is_a_fixed_point(tmp_path):
 def test_render_resolved_epidemic_round_trip():
     cfg = parse_config(EPIDEMIC_CFG)
     net = build_network(cfg)
-    once = render_resolved(cfg, net)
+    once = render_resolved(cfg, resolve_seeds(cfg, net))
     assert "rng_seed=11" in once
     assert "seeds=0,3" in once
     cfg2 = parse_config(once)
     assert cfg2.model == cfg.model
     assert cfg2.max_ticks == cfg.max_ticks
-    assert render_resolved(cfg2, build_network(cfg2)) == once
+    assert render_resolved(cfg2, resolve_seeds(cfg2, build_network(cfg2))) == once

@@ -17,10 +17,16 @@ byte for byte.
 checks from when they converted every token twice and checked every line,
 edge and preference in a loop; the bulk checks must give the same Network
 or raise the same error with the same message.
+
+`reference_render_resolved` copies `render_resolved` from when it resolved
+and parsed every raw node token of the config a second time; rendering from
+the seed ids or the scenario the run resolved must give the same text.
 """
 
 import random
+import tempfile
 from collections import deque
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -44,6 +50,16 @@ from failprop.cascades import (
     run_vertical,
     validate_horizontal,
     validate_vertical,
+)
+from failprop.config import (
+    _as_float,
+    build_horizontal_scenario,
+    build_network,
+    build_vertical_scenario,
+    parse_config,
+    render_resolved,
+    resolve_node,
+    resolve_seeds,
 )
 from failprop.epidemic import (
     MODELS,
@@ -1065,3 +1081,235 @@ def test_edge_list_round_trip_is_byte_identical(net):
     again = load_edge_list(text)
     assert serialize_edge_list(again) == text
     assert again == net
+
+
+# ---------------------------------------------------------------------------
+# resolved-config.txt
+
+
+def reference_render_resolved(cfg, net):
+    """Canonical text for the effective experiment; reloading it reproduces
+    the run (defaults written out, aliases replaced by ids, seed explicit).
+    The output directory and n_jobs are deliberately left out: where
+    results land and the (ignored) job count are not part of the
+    experiment."""
+    lines: list[str] = ["[topology]"]
+    if cfg.topology_generate is not None:
+        lines.append(f"generate={cfg.topology_generate}")
+        lines.append(f"gen_seed={cfg.gen_seed}")
+    else:
+        lines.append(f"file={(cfg.base_dir / cfg.topology_file).resolve()}")
+
+    if cfg.model is not None:
+        p = cfg.model
+        lines += [
+            "", "[model]",
+            f"model={p.model}",
+            f"beta={_fmt(p.beta)}",
+            f"delta1={_fmt(p.delta1)}",
+            f"tau={_fmt(p.tau)}",
+            f"gamma={_fmt(p.gamma)}",
+            "seeds=" + ",".join(str(v) for v in resolve_seeds(cfg, net)),
+        ]
+
+    lines += [
+        "", "[run]",
+        f"max_ticks={cfg.max_ticks}",
+        f"n_runs={cfg.n_runs}",
+        f"rng_seed={cfg.rng_seed}",
+        f"stop={cfg.stop}",
+        f"epsilon={_fmt(cfg.epsilon)}",
+    ]
+
+    if cfg.grid is not None:
+        lines += ["", "[sweep]", "grid=" + ",".join(_fmt(b) for b in cfg.grid)]
+
+    if cfg.scenario_kind is not None:
+        lines += ["", "[scenario]", f"kind={cfg.scenario_kind}"]
+        if cfg.scenario_kind == "horizontal":
+            lines.append(f"misroute={'true' if cfg.misroute else 'false'}")
+        if cfg.capacity_lines:
+            lines += ["", "[capacity]"]
+            lines += [
+                f"{resolve_node(net, k, 'capacity')}={_fmt(_as_float(v, 'capacity'))}"
+                for k, v in cfg.capacity_lines
+            ]
+        if cfg.rate_lines:
+            lines += ["", "[rate]"]
+            lines += [
+                f"{resolve_node(net, k, 'rate')}={_fmt(_as_float(v, 'rate'))}"
+                for k, v in cfg.rate_lines
+            ]
+        if cfg.attack_line is not None:
+            k, v = cfg.attack_line
+            lines += ["", "[attack]",
+                      f"{resolve_node(net, k, 'attack')}={_fmt(_as_float(v, 'attack'))}"]
+        if cfg.demand_lines:
+            lines += ["", "[demand]"]
+            lines += [
+                ",".join((
+                    str(resolve_node(net, s, "demand src")),
+                    str(resolve_node(net, d, "demand dst")),
+                    _fmt(_as_float(vol, "demand volume")),
+                ))
+                for s, d, vol in cfg.demand_lines
+            ]
+        if cfg.injection_line is not None:
+            e, x, vol = cfg.injection_line
+            lines += ["", "[injection]",
+                      ",".join((
+                          str(resolve_node(net, e, "injection entry")),
+                          str(resolve_node(net, x, "injection exit")),
+                          _fmt(_as_float(vol, "injection volume")),
+                      ))]
+
+    return "\n".join(lines) + "\n"
+
+
+def spelled(x):
+    """A number as a config might spell it: integral values sometimes with
+    a fractional part written out, others in repr form."""
+    return st.sampled_from([str(x), f"{x}.0"]) if isinstance(x, int) else st.just(repr(x))
+
+
+def spelled_amounts(hi=60.0):
+    return st.one_of(st.integers(0, int(hi)), st.floats(0, hi)).flatmap(spelled)
+
+
+def spelled_probabilities(hi=1.0):
+    return st.one_of(st.sampled_from([0, 1] if hi >= 1 else [0]),
+                     st.floats(0, hi)).flatmap(spelled)
+
+
+@st.composite
+def topologies(draw):
+    """(the [topology] lines, edge-list text or None, per-node spellings).
+
+    Nodes are named by id (`3`, `+3`, `03`) or by a non-integer alias only:
+    a reference that spells an integer-named alias is read as an id, so such
+    tokens are never used."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        names = draw(st.lists(
+            st.one_of(st.from_regex(r"[a-z][a-z0-9_-]{0,3}", fullmatch=True),
+                      st.integers(0, 9).map(str), st.integers(0, 9).map("0{}".format)),
+            min_size=n, max_size=n, unique=True,
+        ))
+        if all(name.isdigit() for name in names):
+            names[0] = "sw"
+        order = draw(st.permutations(range(1, n)))
+        edges = [(names[draw(st.integers(0, v - 1))], names[v]) for v in order]
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        aliases = load_edge_list(text).aliases
+        lines = ["file=net.edges"]
+    else:
+        kind = draw(st.sampled_from(["ring", "grid", "ba"]))
+        if kind == "ring":
+            params = [draw(st.integers(3, 7))]
+        elif kind == "grid":
+            params = [draw(st.integers(1, 3)), draw(st.integers(2, 3))]
+        else:
+            params = [draw(st.integers(3, 7)), draw(st.integers(1, 2))]
+        n = params[0] * params[1] if kind == "grid" else params[0]
+        text, aliases = None, {}
+        lines = ["generate=" + ":".join([kind, *map(str, params)]),
+                 f"gen_seed={draw(st.integers(0, 99))}"]
+    spellings = []
+    for v in range(n):
+        options = [t for t in (str(v), f"+{v}", f"0{v}") if t not in aliases]
+        options += [name for name, u in aliases.items() if u == v and not name.isdigit()]
+        spellings.append(options)
+    return lines, text, spellings
+
+
+@st.composite
+def experiments(draw):
+    """(config text, edge-list text or None) of an epidemic, sweep,
+    vertical or horizontal experiment."""
+    topology, edges, spellings = draw(topologies())
+    n = len(spellings)
+    kind = draw(st.sampled_from(["epidemic", "sweep", "vertical", "horizontal"]))
+
+    def node(v=None):
+        v = draw(st.integers(0, n - 1)) if v is None else v
+        return draw(st.sampled_from(spellings[v]))
+
+    def node_values(name):
+        nodes = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        if not nodes and draw(st.booleans()):
+            return []
+        return ["", f"[{name}]"] + [f"{node(v)}={draw(spelled_amounts())}" for v in nodes]
+
+    lines = ["[topology]", *topology]
+    if kind in ("epidemic", "sweep"):
+        model = draw(st.sampled_from(MODELS))
+        delta1 = draw(spelled_probabilities(0.5)) if model != "SI" else "0"
+        tau, gamma = "0", "0"
+        if model == "SID":
+            tau, gamma = draw(spelled_probabilities(0.5)), draw(spelled_probabilities())
+        seeds = [node() for _ in range(draw(st.integers(1, 4)))]
+        lines += ["", "[model]", f"model={model}", f"beta={draw(spelled_probabilities())}",
+                  f"delta1={delta1}", f"tau={tau}", f"gamma={gamma}",
+                  "seeds=" + draw(st.sampled_from([",", " , "])).join(seeds)]
+    if kind == "sweep":
+        grid = sorted(draw(st.lists(st.floats(0.01, 1), min_size=1, max_size=4, unique=True)))
+        lines += ["", "[sweep]", "grid=" + ",".join(map(repr, grid))]
+    if draw(st.booleans()):
+        lines += ["", "[run]", f"max_ticks={draw(st.integers(1, 500))}",
+                  f"n_runs={draw(st.integers(1, 50))}", f"rng_seed={draw(st.integers(0, 2**32))}",
+                  f"stop={draw(st.sampled_from(['absorb', 'fixed_ticks']))}",
+                  f"epsilon={draw(st.floats(0.01, 0.99).flatmap(spelled))}",
+                  f"n_jobs={draw(st.integers(1, 4))}"]
+    if kind in ("vertical", "horizontal"):
+        lines += ["", "[scenario]", f"kind={kind}"]
+        if kind == "horizontal" and draw(st.booleans()):
+            flag = draw(st.sampled_from(["true", "false", "yes", "no", "1", "0"]))
+            lines.append(f"misroute={flag}")
+        lines += node_values("capacity")
+    if kind == "vertical":
+        lines += node_values("rate")
+        if draw(st.booleans()):
+            lines += ["", "[attack]", f"{node()}={draw(spelled_amounts(200))}"]
+    if kind == "horizontal":
+        demands = [f"{node()} , {node()},{draw(spelled_amounts())}"
+                   for _ in range(draw(st.integers(0, 4)))]
+        if demands:
+            lines += ["", "[demand]", *demands]
+        if draw(st.booleans()):
+            lines += ["", "[injection]", f"{node()},{node()} , {draw(spelled_amounts(200))}"]
+    if draw(st.booleans()):
+        lines += ["", "[output]", "dir=results"]
+    return "\n".join(lines) + "\n", edges
+
+
+def resolved(cfg, net):
+    """The seed ids or the scenario a run resolves from `cfg`."""
+    if cfg.scenario_kind == "vertical":
+        return build_vertical_scenario(cfg, net)
+    if cfg.scenario_kind == "horizontal":
+        return build_horizontal_scenario(cfg, net)
+    return resolve_seeds(cfg, net)
+
+
+def render(cfg, values):
+    if cfg.scenario_kind is None:
+        return render_resolved(cfg, values)
+    return render_resolved(cfg, scenario=values)
+
+
+@settings(deadline=None)
+@given(experiments())
+def test_render_resolved_matches_token_oracle_and_is_a_fixed_point(case):
+    text, edges = case
+    with tempfile.TemporaryDirectory() as d:
+        if edges is not None:
+            (Path(d) / "net.edges").write_text(edges)
+        cfg = parse_config(text, base_dir=d)
+        net = build_network(cfg)
+        values = resolved(cfg, net)
+        once = render(cfg, values)
+        assert once == reference_render_resolved(cfg, net)
+        cfg2 = parse_config(once, base_dir=d)
+        values2 = resolved(cfg2, build_network(cfg2))
+        assert repr(values2) == repr(values)
+        assert render(cfg2, values2) == once
