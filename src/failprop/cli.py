@@ -66,9 +66,25 @@ def _out_dir(args, cfg: ExperimentConfig | None) -> Path:
     return Path("out")
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _write(files: dict[Path, str]):
+    """Write every output of a run, or leave each target as it was.
+
+    Each text goes to a temporary name beside its target, and all are moved
+    into place with os.replace (atomic within a directory) only once every
+    one is on disk; a failure removes the temporary files.
+    """
+    tmps = {}
+    try:
+        for path, text in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmps[path] = tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            tmp.write_text(text)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_text(payload) -> str:
@@ -93,14 +109,11 @@ def cmd_epidemic(args) -> int:
     seeds = cfgmod.resolve_seeds(cfg, net)
     agg = monte_carlo(
         net, seeds, cfg.model, cfg.max_ticks, cfg.stop,
-        n_runs=cfg.n_runs, base_seed=cfg.rng_seed,
+        n_runs=cfg.n_runs, base_seed=cfg.rng_seed, n_jobs=cfg.n_jobs,
     )
     # trace/events files show replica 0; summary aggregates all replicas
     tr = agg.replica0
     stab = stabilization_time(tr)
-    out = _out_dir(args, cfg)
-    _write(out / "trace.csv", tr.counts_csv())
-    _write(out / "events.csv", tr.events_csv())
     summary = {
         "node_count": net.node_count,
         "model": cfg.model.model,
@@ -113,8 +126,13 @@ def cmd_epidemic(args) -> int:
             "stabilized": stab.stabilized,
         },
     }
-    _write(out / "summary.json", _json_text(summary))
-    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, seeds))
+    out = _out_dir(args, cfg)
+    _write({
+        out / "trace.csv": tr.counts_csv(),
+        out / "events.csv": tr.events_csv(),
+        out / "summary.json": _json_text(summary),
+        out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds),
+    })
     s, i, r, d = tr.counts[-1][1:]
     _say(
         f"epidemic: {cfg.n_runs} run(s), replica0 final S={s} I={i} R={r} D={d}, "
@@ -154,12 +172,15 @@ def cmd_cascade(args) -> int:
         sc = cfgmod.build_horizontal_scenario(cfg, net)
         trace = run_horizontal(net, sc)
     out = _out_dir(args, cfg)
-    _write(out / "trace.csv", trace.csv())
-    _write(out / "events.csv", _cascade_events_csv(trace))
-    _write(out / "summary.json", trace.terminal_json())
+    files = {
+        out / "trace.csv": trace.csv(),
+        out / "events.csv": _cascade_events_csv(trace),
+        out / "summary.json": trace.terminal_json(),
+        out / "resolved-config.txt": cfgmod.render_resolved(cfg, scenario=sc),
+    }
     if kind == "horizontal":
-        _write(out / "dropped.csv", trace.dropped_csv())
-    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, scenario=sc))
+        files[out / "dropped.csv"] = trace.dropped_csv()
+    _write(files)
     for w in trace.warnings:
         _say(f"warning: {w}")
     t = trace.terminal
@@ -189,10 +210,8 @@ def cmd_sweep(args) -> int:
     result = threshold_sweep(
         net, seeds, cfg.model, cfg.grid,
         n_runs=cfg.n_runs, max_ticks=cfg.max_ticks, epsilon=cfg.epsilon,
-        base_seed=cfg.rng_seed, stop=cfg.stop,
+        base_seed=cfg.rng_seed, stop=cfg.stop, n_jobs=cfg.n_jobs,
     )
-    out = _out_dir(args, cfg)
-    _write(out / "sweep.csv", result.csv())
     th = result.threshold_estimate
     summary = {
         "grid": list(result.grid),
@@ -202,8 +221,12 @@ def cmd_sweep(args) -> int:
         "epsilon": result.epsilon,
         "threshold_estimate": th,
     }
-    _write(out / "summary.json", _json_text(summary))
-    _write(out / "resolved-config.txt", cfgmod.render_resolved(cfg, seeds))
+    out = _out_dir(args, cfg)
+    _write({
+        out / "sweep.csv": result.csv(),
+        out / "summary.json": _json_text(summary),
+        out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds),
+    })
     _say(
         f"sweep: {len(result.grid)} point(s), "
         f"threshold_estimate={'none' if th is None else th}"
@@ -226,7 +249,7 @@ def cmd_gen(args) -> int:
             path = p
     else:
         path = _out_dir(args, None) / f"{args.kind}.edges"
-    _write(path, serialize_edge_list(net))
+    _write({path: serialize_edge_list(net)})
     _say(f"gen: wrote {net.node_count} nodes, {net.edge_count()} edges to {path}")
     return EXIT_OK
 
@@ -266,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         if jobs:
             p.add_argument("--jobs", type=int,
-                           help="accepted for compatibility and ignored: replicas run serially")
+                           help="worker processes for Monte Carlo replicas (default: the "
+                                "config's n_jobs); outputs are identical for any value")
 
     p = sub.add_parser("epidemic", help="run a compartment-model experiment")
     common(p, jobs=True)

@@ -365,7 +365,8 @@ def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None) -> str:
     [capacity] and [rate] keep the dicts' insertion order, which is file
     order because `_node_values` rejects a node named twice. The output
     directory and n_jobs are deliberately left out: where results land and
-    the (ignored) job count are not part of the experiment."""
+    how many processes computed them are not part of the experiment, and
+    the outputs are identical for every n_jobs."""
     lines: list[str] = ["[topology]"]
     if cfg.topology_generate is not None:
         lines.append(f"generate={cfg.topology_generate}")

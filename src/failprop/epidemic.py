@@ -29,10 +29,12 @@ copied whole, at C speed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .rng import derive_seed
 from .topology import Network
@@ -367,12 +369,15 @@ def monte_carlo(
 ) -> AggregateStats:
     """Run n_runs independent replicas and aggregate their traces.
 
-    Replica i always uses the seed derived from (base_seed, i). Each
-    replica is folded into integer running sums, mins and maxs as soon as
-    it ends, which is exact in any order, so memory holds one trace (plus
-    replica 0's) and O(ticks + n_runs) numbers. n_jobs is accepted and
-    ignored: replicas run one after another, as threads do not speed up
-    this pure-Python loop.
+    Replica i always uses the seed derived from (base_seed, i). The caller
+    runs replica 0 and keeps its trace. With n_jobs > 1, replicas
+    1..n_runs-1 run meanwhile in min(n_jobs, n_runs - 1) worker processes
+    (default start method; the pool starts in about 20-40 ms), which send
+    back only counts rows and outbreak sizes. Replicas are folded into
+    integer running sums, mins and maxs as they arrive, which is exact in
+    any order, and outbreak sizes are placed by replica index, so the
+    result is identical for every n_jobs. Memory holds one trace per
+    process and O(ticks + n_runs) numbers.
     """
     if n_runs < 1:
         raise EpidemicError(f"n_runs must be >= 1, got {n_runs}")
@@ -384,13 +389,9 @@ def monte_carlo(
     # aggregate of the final rows of the replicas folded so far: a replica
     # that ended earlier sits at its final row for every later tick
     end_sum, end_min, end_max = [0] * 4, [n] * 4, [0] * 4
-    outbreak_sizes = []
-    replica0 = None
-    for i in range(n_runs):
-        tr = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
-        if replica0 is None:
-            replica0 = tr
-        rows = tr.counts
+    outbreak_sizes = [0.0] * n_runs
+
+    def fold(i, rows, infected):
         while len(sums) < len(rows):
             sums.append(end_sum[:])
             mins.append(end_min[:])
@@ -400,7 +401,23 @@ def monte_carlo(
             row = rows[t] if t < len(rows) else last
             _fold(sums[t], mins[t], maxs[t], row)
         _fold(end_sum, end_min, end_max, last)
-        outbreak_sizes.append(len(tr.ever_infected) / n)
+        outbreak_sizes[i] = infected / n
+
+    job = (net, seeds, p, max_ticks, stop, base_seed)
+    others = range(1, n_runs)
+    if n_jobs > 1 and others:
+        import multiprocessing  # not at module level: it costs ~20 ms of import
+
+        pool = multiprocessing.Pool(min(n_jobs, len(others)), _init_worker, job)
+        results = pool.imap_unordered(_worker_replica, others)
+    else:
+        pool = contextlib.nullcontext()
+        results = map(partial(_replica, job), others)
+    with pool:
+        replica0 = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, 0))
+        fold(0, replica0.counts, len(replica0.ever_infected))
+        for result in results:
+            fold(*result)
 
     return AggregateStats(
         node_count=n,
@@ -412,6 +429,27 @@ def monte_carlo(
         outbreak_sizes=outbreak_sizes,
         replica0=replica0,
     )
+
+
+def _replica(job, i):
+    """Replica i of a batch as (i, counts rows, number of nodes ever infected)."""
+    net, seeds, p, max_ticks, stop, base_seed = job
+    tr = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
+    return i, tr.counts, len(tr.ever_infected)
+
+
+# a pool worker's batch arguments, set in each worker process (never in the
+# caller) by the pool initializer, so they are sent once per process, not per task
+_worker_job = None
+
+
+def _init_worker(*job):
+    global _worker_job
+    _worker_job = job
+
+
+def _worker_replica(i):
+    return _replica(_worker_job, i)
 
 
 def _fold(sums: list[int], mins: list[int], maxs: list[int], row) -> None:

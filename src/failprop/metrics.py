@@ -114,12 +114,15 @@ def threshold_sweep(
     epsilon: float = 0.05,
     base_seed: int = 0,
     stop: str = "absorb",
+    n_jobs: int = 1,
 ) -> SweepResult:
     """Mean outbreak fraction as beta walks the grid, template fixed otherwise.
 
     Grid point i reruns monte_carlo with the stream derived from
     (base_seed, i), so the whole sweep is reproducible from one seed and
-    independent of execution order.
+    independent of execution order. n_jobs is passed to each monte_carlo
+    call, so every grid point starts its own worker pool when n_jobs > 1;
+    the result is the same for every n_jobs.
     """
     grid = tuple(float(b) for b in grid)
     if not grid:
@@ -134,7 +137,7 @@ def threshold_sweep(
         p = replace(template, beta=beta)
         agg = monte_carlo(
             net, seeds, p, max_ticks, stop,
-            n_runs=n_runs, base_seed=derive_seed(base_seed, i),
+            n_runs=n_runs, base_seed=derive_seed(base_seed, i), n_jobs=n_jobs,
         )
         response.append(agg.mean_outbreak)
         stderrs.append(agg.stderr_outbreak)

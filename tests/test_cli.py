@@ -84,6 +84,29 @@ def test_epidemic_rerun_is_byte_identical(tmp_path):
         assert read(a / name) == read(b / name)
 
 
+def test_failed_write_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, SI_RING_CFG)
+    out = tmp_path / "out"
+    assert main(["epidemic", "--config", cfg, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    real_write_text = Path.write_text
+    writes = []
+
+    def write_then_fail(self, text, *args, **kwargs):
+        if writes:
+            raise OSError("disk full")
+        writes.append(self)
+        return real_write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_then_fail)
+    assert main(["epidemic", "--config", cfg, "--out", str(out), "--seed", "6"]) == 4
+    monkeypatch.undo()
+    assert len(writes) == 1 and writes[0].parent == out
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_epidemic_seed_override_changes_resolved_config(tmp_path):
     cfg = write_cfg(tmp_path, SI_RING_CFG)
     out = tmp_path / "o"

@@ -18,6 +18,11 @@ checks from when they converted every token twice and checked every line,
 edge and preference in a loop; the bulk checks must give the same Network
 or raise the same error with the same message.
 
+`brute_force_route` enumerates every simple path, so `route_demand` is
+also checked against the definition of the path it must return rather
+than only against an earlier BFS; serial `monte_carlo` is the oracle for
+replicas run in worker processes.
+
 `reference_render_resolved` copies `render_resolved` from when it resolved
 and parsed every raw node token of the config a second time; rendering from
 the seed ids or the scenario the run resolved must give the same text.
@@ -28,8 +33,11 @@ import tempfile
 from collections import deque
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import failprop.epidemic
 
 from failprop.cascades import (
     INF,
@@ -81,6 +89,7 @@ from failprop.topology import (
     Network,
     TopologyError,
     load_edge_list,
+    ring,
     serialize_edge_list,
 )
 
@@ -320,6 +329,66 @@ def test_streaming_monte_carlo_ragged_replicas():
     assert any(b > max(lengths[:i]) for i, b in enumerate(lengths) if i)
 
 
+@settings(deadline=None)
+@given(runs(), st.integers(0, 2**32))
+def test_population_is_conserved_and_states_stay_in_the_model(case, seed):
+    net, seeds, p, max_ticks, stop = case
+    tr = run(net, seeds, p, max_ticks, stop, seed)
+    assert all(s + i + r + d == net.node_count for _, s, i, r, d in tr.counts)
+    seen = {state for _, _, a, b in tr.events for state in (a, b)}
+    seen |= {state for row in tr.counts for state, c in zip("SIRD", row[1:]) if c}
+    assert seen <= _LEGAL[p.model]
+
+
+# --- Monte Carlo in worker processes -------------------------------------------
+
+# every example with n_runs > 1 starts a pool, about 20-40 ms, so examples are few
+@pytest.mark.parametrize("stop", ("absorb", "fixed_ticks"))
+@pytest.mark.parametrize("model", MODELS)
+@settings(deadline=None, max_examples=5)
+@given(data=st.data(), n_runs=st.integers(1, 6), n_jobs=st.integers(2, 3),
+       base_seed=st.integers(0, 2**32))
+def test_monte_carlo_in_worker_processes_matches_serial(model, stop, data, n_runs, n_jobs,
+                                                        base_seed):
+    net = data.draw(networks())
+    p = data.draw(params(models=(model,)))
+    seeds = data.draw(st.sets(st.integers(0, net.node_count - 1), min_size=1))
+    max_ticks = data.draw(st.integers(1, 25))
+    serial = monte_carlo(net, seeds, p, max_ticks, stop, n_runs, base_seed, n_jobs=1)
+    pooled = monte_carlo(net, seeds, p, max_ticks, stop, n_runs, base_seed, n_jobs=n_jobs)
+    assert pooled.as_dict() == serial.as_dict()
+    assert pooled.replica0.counts == serial.replica0.counts
+    assert pooled.replica0.events == serial.replica0.events
+    assert pooled.replica0.final_states == serial.replica0.final_states
+
+
+def test_pooled_monte_carlo_runs_only_replica_0_in_the_caller(monkeypatch):
+    seeds_used = []
+    original = failprop.epidemic.run
+
+    def counting_run(net, seeds, p, max_ticks, stop, rng_seed):
+        seeds_used.append(rng_seed)
+        return original(net, seeds, p, max_ticks, stop, rng_seed)
+
+    monkeypatch.setattr(failprop.epidemic, "run", counting_run)
+    p = EpidemicParams("SIS", beta=0.5, delta1=0.2)
+    agg = monte_carlo(ring(12), {0}, p, 30, "fixed_ticks", n_runs=5, base_seed=4, n_jobs=2)
+    assert seeds_used == [derive_seed(4, 0)]
+    assert len(agg.outbreak_sizes) == 5
+
+
+@pytest.mark.parametrize("bad", [{"stop": "never"}, {"max_ticks": 0}, {"seeds": set()}])
+def test_pooled_monte_carlo_raises_what_serial_raises(bad):
+    args = {"net": ring(6), "seeds": {0}, "p": EpidemicParams("SI", beta=0.5),
+            "max_ticks": 10, "stop": "absorb", **bad}
+    messages = []
+    for n_jobs in (1, 2):
+        with pytest.raises(EpidemicError) as exc:
+            monte_carlo(**args, n_runs=3, n_jobs=n_jobs)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
 # --- cascade oracles: full recomputation every round ---------------------------
 
 def reference_route_demand(net, alive, src, dst, misroute=False):
@@ -345,6 +414,28 @@ def reference_route_demand(net, alive, src, dst, misroute=False):
         cur = pick(u for u in net.adj[cur] if u in alive and dist.get(u, -1) == dist[cur] - 1)
         path.append(cur)
     return path
+
+
+def brute_force_route(net, alive, src, dst, misroute=False):
+    """The fewest-hop simple path inside `alive`, ties broken by comparing
+    node-id sequences (largest when misroute), found by listing every path."""
+    paths = []
+
+    def extend(path):
+        if path[-1] == dst:
+            paths.append(path)
+            return
+        for u in net.adj[path[-1]]:
+            if u in alive and u not in path:
+                extend(path + [u])
+
+    if src in alive and dst in alive:
+        extend([src])
+    if not paths:
+        return None
+    hops = min(map(len, paths))
+    tied = [path for path in paths if len(path) == hops]
+    return max(tied) if misroute else min(tied)
 
 
 def reference_compute_loads(net, alive, sc):
@@ -544,6 +635,22 @@ def vertical_cases(draw):
 
 
 # --- cascades against the oracles ------------------------------------------------
+
+small_route_networks = st.one_of(networks(max_nodes=8), sparse_networks(max_nodes=8),
+                                 grids().filter(lambda net: net.node_count <= 8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), small_route_networks, st.booleans())
+def test_route_demand_matches_brute_force_enumeration(data, net, misroute):
+    assume(net.node_count >= 2)
+    nodes = range(net.node_count)
+    alive = data.draw(st.one_of(st.just(set(nodes)), st.sets(st.sampled_from(nodes))))
+    src, dst = data.draw(st.lists(st.integers(0, net.node_count - 1),
+                                  min_size=2, max_size=2, unique=True))
+    assert route_demand(net, alive, src, dst, misroute) == \
+        brute_force_route(net, alive, src, dst, misroute)
+
 
 # cheap examples, and the tie that an early stop gets wrong is rare outside grids
 @settings(deadline=None, max_examples=500)
