@@ -131,15 +131,15 @@ def validate_vertical(net: Network, sc: VerticalScenario) -> list[str]:
     if not ctrls:
         raise ScenarioError("network has no controller nodes")
     for c in sc.controller_capacity:
-        if c >= net.node_count or net.roles[c] != CONTROLLER:
+        if not (0 <= c < net.node_count) or net.roles[c] != CONTROLLER:
             raise ScenarioError(f"capacity key {c} is not a controller")
     for sw in sc.base_rate:
-        if sw >= net.node_count or net.roles[sw] not in SWITCH_ROLES:
+        if not (0 <= sw < net.node_count) or net.roles[sw] not in SWITCH_ROLES:
             raise ScenarioError(f"rate key {sw} is not a switch")
     warnings = []
     if sc.attack is not None:
         target = sc.attack[0]
-        if target >= net.node_count or net.roles[target] not in SWITCH_ROLES:
+        if not (0 <= target < net.node_count) or net.roles[target] not in SWITCH_ROLES:
             raise ScenarioError(f"attack target {target} is not a switch")
     for sw in net.switches():
         if not net.controller_prefs.get(sw):
@@ -462,8 +462,8 @@ class CascadeTrace:
                 "rounds": t.rounds,
                 "failed_controllers": sorted(t.failed_controllers),
                 "orphaned_switches": sorted(t.orphaned_switches),
-                "assignment": {str(sw): c for sw, c in sorted(t.assignment.items())},
-                "loads": {str(c): t.loads[c] for c in sorted(t.loads)},
+                "assignment": {str(sw): c for sw, c in t.assignment.items()},
+                "loads": {str(c): load for c, load in t.loads.items()},
             }
         else:
             payload = {
@@ -471,7 +471,7 @@ class CascadeTrace:
                 "rounds": t.rounds,
                 "failed_nodes": sorted(t.failed_nodes),
                 "dropped": [list(d) for d in t.dropped],
-                "loads": {str(v): t.loads[v] for v in sorted(t.loads)},
+                "loads": {str(v): load for v, load in t.loads.items()},
             }
         if self.warnings:
             payload["warnings"] = list(self.warnings)

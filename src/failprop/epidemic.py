@@ -30,7 +30,6 @@ copied whole, at C speed.
 from __future__ import annotations
 
 import contextlib
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -352,9 +351,6 @@ class AggregateStats:
             "mean_outbreak": self.mean_outbreak,
             "stderr_outbreak": self.stderr_outbreak,
         }
-
-    def json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def monte_carlo(

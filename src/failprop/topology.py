@@ -22,6 +22,12 @@ each switch followed by its controllers), kept on the Network as an
 alias table. A node may have one `[roles]` line and one `[controllers]`
 line, and `[nodes]` one `count=` line; a repeat is an error, as is any
 malformed line, reported with its line number.
+
+Loading runs in three stages. The scan checks the shape of every line and
+returns its tokens. The resolve stage collects the distinct tokens once,
+in first-appearance order, into one dict that gives both the `int()` ids
+and the names' ids, and checks them. `Network.from_edges` then builds the
+graph; no token outlives the resolve stage.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat, starmap
+from itertools import chain, compress, repeat, starmap
 from operator import eq, itemgetter, methodcaller
 from typing import IO, Iterable
 
@@ -84,35 +90,27 @@ class Network:
                 raise TopologyError(f"edge {e} out of range or not normalized")
             adj[u].append(v)
             adj[v].append(u)
-        if self.controller_prefs and not self._prefs_ok():
+        if self.controller_prefs:
+            switches, controllers = set(self.switches()), set(self.controllers())
             for sw, prefs in self.controller_prefs.items():
-                if not (0 <= sw < n):
-                    raise TopologyError(f"controller_prefs: unknown switch id {sw}")
-                if self.roles[sw] not in SWITCH_ROLES:
+                if sw not in switches:
+                    if not (0 <= sw < n):
+                        raise TopologyError(f"controller_prefs: unknown switch id {sw}")
                     raise TopologyError(
                         f"controller_prefs: node {sw} has role {self.roles[sw]}, not a switch"
                     )
                 if len(set(prefs)) != len(prefs):
                     raise TopologyError(f"controller_prefs: duplicate controller for switch {sw}")
-                for c in prefs:
+                if not controllers.issuperset(prefs):
+                    c = next(c for c in prefs if c not in controllers)
                     if not (0 <= c < n):
                         raise TopologyError(f"controller_prefs: unknown controller id {c}")
-                    if self.roles[c] != CONTROLLER:
-                        raise TopologyError(
-                            f"controller_prefs: node {c} has role {self.roles[c]}, not controller"
-                        )
-        object.__setattr__(self, "_adj", tuple(map(tuple, map(sorted, adj))))
-
-    def _prefs_ok(self) -> bool:
-        """Every key a switch, every list distinct controllers: set tests in bulk."""
-        switches = set(self.switches())
-        controllers = set(self.controllers())
-        lists = self.controller_prefs.values()
-        return (
-            switches.issuperset(self.controller_prefs)
-            and all(map(controllers.issuperset, lists))
-            and list(map(len, map(set, lists))) == list(map(len, lists))
-        )
+                    raise TopologyError(
+                        f"controller_prefs: node {c} has role {self.roles[c]}, not controller"
+                    )
+        for a in adj:
+            a.sort()
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     @classmethod
     def from_edges(
@@ -128,7 +126,7 @@ class Network:
             pairs = list(pairs)  # may be a generator
         # dict.fromkeys: a set grown item by item can take three times the
         # memory, and a frozenset copied from a dict is sized to its contents
-        edges = dict.fromkeys((u, v) if u < v else (v, u) for u, v in pairs)
+        edges = dict.fromkeys(e if e[0] < e[1] else (e[1], e[0]) for e in pairs)
         if len(edges) != len(pairs) or any(starmap(eq, edges)):
             seen: set[tuple[int, int]] = set()
             for u, v in pairs:
@@ -187,22 +185,16 @@ def _field(lines: list[str], sep: str, i: int) -> list[str]:
     return list(map(itemgetter(i), map(methodcaller("partition", sep), lines)))
 
 
-def _chunks(items: Iterable, sizes: Iterable[int]) -> list[tuple]:
-    """Consecutive runs of `items`, one tuple per size."""
-    it = iter(items)
-    return list(map(tuple, map(islice, repeat(it), sizes)))
-
-
 def _scan(text: str):
-    """The line pass: strip comments, cut the document into sections and
-    check the shape of every line.
+    """Stage 1, the line pass: strip comments, cut the document into
+    sections and check the shape of every line.
 
-    Returns each kind of line as its line numbers plus its node tokens,
-    kept in flat lists: edge lines as (numbers, u tokens, v tokens), role
-    lines as (numbers, ids, roles), controller lines as (numbers, switches,
-    controllers, list lengths); and the declared node count. A malformed
-    line raises its `line N:` error; of several, the first in the file
-    does, as in a line-by-line reading.
+    Returns each kind of line as its line numbers plus its node tokens:
+    edge lines as numbers and both ends of every edge, line by line; role
+    lines as numbers, ids and roles; controller lines as numbers, switches
+    and one tuple of controller tokens per line; then the declared node
+    count. A malformed line raises its `line N:` error; of several, the
+    first in the file does, as in a line-by-line reading.
     """
     lines = list(map(str.strip, _field(text.splitlines(), "#", 0)))
     heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
@@ -262,57 +254,35 @@ def _scan(text: str):
     role_ids = list(map(str.strip, _field(role_lines, "=", 0)))
     role_names = list(map(str.strip, _field(role_lines, "=", 2)))
     switches = list(map(str.strip, _field(pref_lines, ":", 0)))
-    lists = [list(filter(None, map(str.strip, rest.split(","))))
+    prefs = [tuple(filter(None, map(str.strip, rest.split(","))))
              for rest in _field(pref_lines, ":", 2)]
-    ctrls = list(chain.from_iterable(lists))
-    sizes = list(map(len, lists))
-
-    return (
-        (edge_nos, ends[0::2], ends[1::2]),
-        (role_nos, role_ids, role_names),
-        (pref_nos, switches, ctrls, sizes),
-        declared_count,
-    )
+    return edge_nos, ends, role_nos, role_ids, role_names, pref_nos, switches, prefs, declared_count
 
 
-def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
-    """Parse an edge-list document into a validated Network.
+def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch_tokens,
+             pref_tokens, declared_count: int | None, roles: dict | None):
+    """Stage 2: turn the scanned tokens into node ids and check them.
 
-    `source` is the text itself or an open text stream. `roles` optionally
-    adds or overrides role annotations (keyed by id or alias name) on top
-    of the file's own `[roles]` section.
-
-    Each distinct node token goes through `int()` once, and valid input is
-    checked in bulk; a line-by-line loop runs only when a bulk check fails,
-    to raise the message that names the first bad line.
+    Returns the arguments of `Network.from_edges`: (n, normalized edge
+    pairs, role map, preference map, alias table or None).
     """
-    text = source if isinstance(source, str) else source.read()
-    edge_lines, role_lines, pref_lines, declared_count = _scan(text)
-    edge_nos, u_tokens, v_tokens = edge_lines
-    role_nos, role_tokens, role_names = role_lines
-    pref_nos, switch_tokens, ctrl_tokens, sizes = pref_lines
-
-    distinct = dict.fromkeys(chain(u_tokens, v_tokens, role_tokens, switch_tokens, ctrl_tokens))
+    # the distinct tokens in order of first appearance: edge ends line by
+    # line, role ids, then each switch followed by its controllers
+    distinct = dict.fromkeys(chain(
+        ends, role_tokens, chain.from_iterable(map(chain, zip(switch_tokens), pref_tokens))
+    ))
     aliases: dict[str, int] | None = None
     try:
         resolve = dict(zip(distinct, map(int, distinct)))
     except ValueError:
-        # names get dense ids in order of first appearance: edge ends, role
-        # ids, then each switch followed by its controllers
-        order = dict.fromkeys(chain(
-            chain.from_iterable(zip(u_tokens, v_tokens)),
-            role_tokens,
-            chain.from_iterable(map(chain, zip(switch_tokens), _chunks(ctrl_tokens, sizes))),
-        ))
-        aliases = resolve = dict(zip(order, range(len(order))))
+        aliases = resolve = dict(zip(distinct, range(len(distinct))))
     get = resolve.__getitem__
 
-    us = list(map(get, u_tokens))
-    vs = list(map(get, v_tokens))
-    pairs = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
-    if len(dict.fromkeys(pairs)) != len(pairs) or any(map(eq, us, vs)):
+    end_ids = map(get, ends)
+    pairs = [(u, v) if u < v else (v, u) for u, v in zip(end_ids, end_ids)]
+    if len(dict.fromkeys(pairs)) != len(pairs) or any(starmap(eq, pairs)):
         seen: set[tuple[int, int]] = set()
-        for lineno, ut, vt, e in zip(edge_nos, u_tokens, v_tokens, pairs):
+        for lineno, ut, vt, e in zip(edge_nos, ends[0::2], ends[1::2], pairs):
             if e[0] == e[1]:
                 raise _err(lineno, f"self-loop at node {ut}")
             if e in seen:
@@ -360,7 +330,7 @@ def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
         role_map[v] = role
 
     switches = list(map(get, switch_tokens))
-    prefs = dict(zip(switches, _chunks(map(get, ctrl_tokens), sizes)))
+    prefs = dict(zip(switches, map(tuple, map(map, repeat(get), pref_tokens))))
     if len(prefs) != len(switches):
         first = {}
         for lineno, token, sw in zip(pref_nos, switch_tokens, switches):
@@ -369,7 +339,26 @@ def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
                                    f"(first on line {first[sw]})")
             first[sw] = lineno
 
-    return Network.from_edges(n, pairs, role_map, prefs, aliases)
+    return n, pairs, role_map, prefs, aliases
+
+
+def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
+    """Parse an edge-list document into a validated Network.
+
+    `source` is the text itself or an open text stream. `roles` optionally
+    adds or overrides role annotations (keyed by id or alias name) on top
+    of the file's own `[roles]` section.
+
+    Three stages: `_scan` checks the shape of every line and returns its
+    tokens; `_resolve` maps them to ids through one dict of the distinct
+    tokens in first-appearance order (their `int()` values, or the names'
+    dense ids) and checks the ids; `Network.from_edges` builds the graph.
+    The tokens die when `_resolve` returns, before the Network is built.
+    Valid input is checked in bulk; a line-by-line loop runs only when a
+    bulk check fails, to raise the message that names the first bad line.
+    """
+    text = source if isinstance(source, str) else source.read()
+    return Network.from_edges(*_resolve(*_scan(text), roles))
 
 
 def serialize_edge_list(net: Network) -> str:

@@ -92,6 +92,19 @@ def test_validate_vertical_role_checks():
         validate_vertical(net, VerticalScenario({}, {}, attack=(2, 5.0)))
 
 
+def test_vertical_rejects_negative_node_ids():
+    # controller 0, switches 1 and 2: a negative id must not index from the end
+    roles = {0: "controller", 1: "edge_switch", 2: "edge_switch"}
+    net = Network.from_edges(3, [(0, 1), (0, 2)], roles, {1: [0], 2: [0]})
+    for sc, msg in (
+        (VerticalScenario({-3: 1.0}, {1: 2.0}), "capacity key -3 is not a controller"),
+        (VerticalScenario({}, {-1: 5.0, 1: 1.0}), "rate key -1 is not a switch"),
+        (VerticalScenario({}, {}, attack=(-1, 5.0)), "attack target -1 is not a switch"),
+    ):
+        with pytest.raises(ScenarioError, match=msg):
+            run_vertical(net, sc)
+
+
 def test_validate_vertical_requires_controllers():
     net = ring(4)
     with pytest.raises(ScenarioError, match="no controller"):
