@@ -40,7 +40,6 @@ from .topology import (
     GeneratorParamError,
     TopologyError,
     generate_topology,
-    load_edge_list,
     serialize_edge_list,
     validate,
 )
@@ -235,20 +234,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        net = generate_topology(args.kind, [float(p) for p in args.params], args.seed or 0)
-    except (TopologyError, ValueError) as exc:
-        # bad generator arguments are a usage problem, not a topology-file one
-        _say(f"failprop: error: {exc}")
-        return EXIT_CONFIG
-    if args.out:
-        p = Path(args.out)
-        if p.is_dir() or args.out.endswith(("/", os.sep)):
-            path = p / f"{args.kind}.edges"
-        else:
-            path = p
-    else:
-        path = _out_dir(args, None) / f"{args.kind}.edges"
+    net = generate_topology(args.kind, args.params, args.seed or 0)
+    path = _out_dir(args, None)
+    if not args.out or path.is_dir() or args.out.endswith(("/", os.sep)):
+        path /= f"{args.kind}.edges"
     _write({path: serialize_edge_list(net)})
     _say(f"gen: wrote {net.node_count} nodes, {net.edge_count()} edges to {path}")
     return EXIT_OK
@@ -258,11 +247,7 @@ def cmd_validate(args) -> int:
     if bool(args.topology) == bool(args.config):
         raise ConfigError("validate needs exactly one of: a topology file, or --config")
     if args.topology:
-        try:
-            text = Path(args.topology).read_text()
-        except OSError as exc:
-            raise TopologyError(f"cannot read topology file {args.topology}: {exc}") from None
-        net = load_edge_list(text)
+        net = cfgmod.read_topology(args.topology)
     else:
         net = cfgmod.build_network(cfgmod.load_config(args.config))
     report = validate(net)
@@ -308,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a topology edge-list file")
     p.add_argument("kind", help="ring | grid | er | ba")
-    p.add_argument("params", nargs="*", help="generator parameters")
+    p.add_argument("params", nargs="*", type=float, help="generator parameters")
     p.add_argument("--seed", type=int, help="generator seed")
     p.add_argument("--out", help="output file, or directory for <kind>.edges")
     p.set_defaults(func=cmd_gen)

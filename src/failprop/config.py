@@ -1,10 +1,11 @@
 """Experiment files: sectioned text configs, presets, canonical re-rendering.
 
 A config is a flat file of `[section]` headers over `key=value` lines
-(scenario data sections also take bare comma/assignment lines). One file
-describes one experiment: a topology source plus exactly one of an
-epidemic [model] or a cascade [scenario]. Node references in configs may
-use either integer ids or the name aliases of the topology file.
+(scenario data sections also take bare comma/assignment lines), cut by
+`topology.split_sections` as edge lists are. One file describes one
+experiment: a topology source plus exactly one of an epidemic [model] or
+a cascade [scenario]. Node references in configs may use either integer
+ids or the name aliases of the topology file.
 
 Raw node tokens are resolved once, against the Network, by `resolve_seeds`
 and `build_*_scenario`. `render_resolved` writes the experiment back out
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .cascades import Demand, HorizontalScenario, Injection, VerticalScenario, _fmt
 from .epidemic import EpidemicParams
-from .topology import Network, TopologyError, generate_topology, load_edge_list
+from .topology import Network, TopologyError, generate_topology, load_edge_list, split_sections
 
 PRESET_DIR = Path(__file__).parent / "presets"
 
@@ -29,8 +30,9 @@ _SECTIONS = (
     "topology", "model", "run", "sweep", "scenario", "output",
     "capacity", "rate", "attack", "demand", "injection",
 )
-_VERTICAL_SECTIONS = ("rate", "attack")
-_HORIZONTAL_SECTIONS = ("demand", "injection")
+# scenario data section -> the scenario kinds it belongs to, in check order
+_SCENARIO_SECTIONS = {"rate": ("vertical",), "attack": ("vertical",), "demand": ("horizontal",),
+                      "injection": ("horizontal",), "capacity": ("vertical", "horizontal")}
 
 
 class ConfigError(ValueError):
@@ -39,24 +41,16 @@ class ConfigError(ValueError):
 
 def read_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     """Split config text into ordered per-section (lineno, line) lists."""
+    (_, _, linenos, lines), *parts = split_sections(text)
+    if lines:
+        raise ConfigError(f"line {linenos[0]}: {lines[0]!r} appears before any [section]")
     sections: dict[str, list[tuple[int, str]]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
-                raise ConfigError(f"line {lineno}: unknown section [{name}]")
-            if name in sections:
-                raise ConfigError(f"line {lineno}: duplicate section [{name}]")
-            current = name
-            sections[name] = []
-            continue
-        if current is None:
-            raise ConfigError(f"line {lineno}: {line!r} appears before any [section]")
-        sections[current].append((lineno, line))
+    for name, head, linenos, lines in parts:
+        if name not in _SECTIONS:
+            raise ConfigError(f"line {head}: unknown section [{name}]")
+        if name in sections:
+            raise ConfigError(f"line {head}: duplicate section [{name}]")
+        sections[name] = list(zip(linenos, lines))
     return sections
 
 
@@ -195,10 +189,8 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
 
     if "sweep" in sections:
         kv = _kv(sections["sweep"], "sweep", ("grid",))
-        if "grid" not in kv or not kv["grid"].strip():
-            raise ConfigError("[sweep] needs a nonempty grid= list")
         cfg.grid = tuple(
-            _as_float(t.strip(), "grid") for t in kv["grid"].split(",") if t.strip()
+            _as_float(t.strip(), "grid") for t in kv.get("grid", "").split(",") if t.strip()
         )
         if not cfg.grid:
             raise ConfigError("[sweep] needs a nonempty grid= list")
@@ -214,17 +206,11 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
             if kind != "horizontal":
                 raise ConfigError("misroute only applies to horizontal scenarios")
 
-    for name in _VERTICAL_SECTIONS + _HORIZONTAL_SECTIONS + ("capacity",):
-        if name in sections and cfg.scenario_kind is None:
-            raise ConfigError(f"[{name}] requires a [scenario] section")
-    if cfg.scenario_kind == "vertical":
-        for name in _HORIZONTAL_SECTIONS:
-            if name in sections:
-                raise ConfigError(f"[{name}] does not belong in a vertical scenario")
-    if cfg.scenario_kind == "horizontal":
-        for name in _VERTICAL_SECTIONS:
-            if name in sections:
-                raise ConfigError(f"[{name}] does not belong in a horizontal scenario")
+    for name, kinds in _SCENARIO_SECTIONS.items():
+        if name in sections and cfg.scenario_kind not in kinds:
+            if cfg.scenario_kind is None:
+                raise ConfigError(f"[{name}] requires a [scenario] section")
+            raise ConfigError(f"[{name}] does not belong in a {cfg.scenario_kind} scenario")
 
     if "capacity" in sections:
         cfg.capacity_lines = tuple(_kv(sections["capacity"], "capacity", None).items())
@@ -253,10 +239,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
         cfg.injection_line = tuple(parts)
 
     if "output" in sections:
-        kv = _kv(sections["output"], "output", ("dir", "formats"))
-        cfg.out_dir = kv.get("dir")
-        if kv.get("formats", "csv") != "csv":
-            raise ConfigError("only formats=csv is supported")
+        cfg.out_dir = _kv(sections["output"], "output", ("dir",)).get("dir")
 
     return cfg
 
@@ -278,16 +261,20 @@ def load_config(ref: str) -> ExperimentConfig:
     return parse_config(path.read_text(), base_dir=path.parent)
 
 
+def read_topology(path: Path | str) -> Network:
+    """Load the edge-list file at `path`; an unreadable file is a TopologyError."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise TopologyError(f"cannot read topology file {path}: {exc}") from None
+    return load_edge_list(text)
+
+
 def build_network(cfg: ExperimentConfig) -> Network:
     if cfg.topology_file is None and cfg.topology_generate is None:
         raise ConfigError("config has no [topology] section")
     if cfg.topology_file is not None:
-        path = cfg.base_dir / cfg.topology_file
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise TopologyError(f"cannot read topology file {path}: {exc}") from None
-        return load_edge_list(text)
+        return read_topology(cfg.base_dir / cfg.topology_file)
     kind, _, rest = cfg.topology_generate.partition(":")
     params = [_as_float(t, "generate") for t in rest.split(":") if t.strip()]
     return generate_topology(kind.strip(), params, cfg.gen_seed)

@@ -23,6 +23,7 @@ alias table. A node may have one `[roles]` line and one `[controllers]`
 line, and `[nodes]` one `count=` line; a repeat is an error, as is any
 malformed line, reported with its line number.
 
+`split_sections`, which configs share, cuts a document into sections.
 Loading runs in three stages. The scan checks the shape of every line and
 returns its tokens. The resolve stage collects the distinct tokens once,
 in first-appearance order, into one dict that gives both the `int()` ids
@@ -37,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat, starmap
 from operator import eq, itemgetter, methodcaller
-from typing import IO, Iterable
+from typing import Iterable
 
 EDGE_SWITCH = "edge_switch"
 CORE_SWITCH = "core_switch"
@@ -53,7 +54,7 @@ class TopologyError(ValueError):
 
 
 class GeneratorParamError(TopologyError):
-    """A generator parameter of the wrong kind: a usage error, exit code 2."""
+    """A bad generator name or argument: a usage error, exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,8 @@ class Network:
     """Immutable two-plane graph. Safe to share across concurrent runs.
 
     edges holds normalized (u, v) pairs with u < v; controller_prefs maps a
-    switch id to its ordered failover list of controller ids.
+    switch id to its ordered failover list of controller ids; adj holds the
+    sorted neighbor list of each node id.
     """
 
     node_count: int
@@ -69,7 +71,7 @@ class Network:
     edges: frozenset[tuple[int, int]]
     controller_prefs: dict[int, tuple[int, ...]] = field(default_factory=dict)
     aliases: dict[str, int] | None = field(default=None, compare=False)
-    _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
@@ -110,7 +112,7 @@ class Network:
                     )
         for a in adj:
             a.sort()
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
 
     @classmethod
     def from_edges(
@@ -144,15 +146,10 @@ class Network:
         prefs = {sw: tuple(cs) for sw, cs in (controller_prefs or {}).items()}
         return cls(node_count, tuple(role_list), frozenset(edges), prefs, aliases)
 
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor list per node id."""
-        return self._adj
-
     def neighbors(self, v: int) -> set[int]:
         if not (0 <= v < self.node_count):
             raise TopologyError(f"unknown node id {v}")
-        return set(self._adj[v])
+        return set(self.adj[v])
 
     def controllers(self) -> tuple[int, ...]:
         return tuple(v for v, r in enumerate(self.roles) if r == CONTROLLER)
@@ -185,9 +182,31 @@ def _field(lines: list[str], sep: str, i: int) -> list[str]:
     return list(map(itemgetter(i), map(methodcaller("partition", sep), lines)))
 
 
+def split_sections(text: str) -> list[tuple[str, int, list[int], list[str]]]:
+    """Cut a document at its `[section]` headers, with `#` comments and
+    blank lines left out.
+
+    Returns (name, header line number, line numbers, lines) per part, in
+    file order; the part before the first header is named "" with header
+    line 0. Names are stripped and lower-cased and may repeat: checking
+    them is the caller's job.
+    """
+    lines = list(map(str.strip, _field(text.splitlines(), "#", 0)))
+    heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
+    parts = []
+    name, start = "", 0
+    for end in heads + [len(lines)]:
+        seg = lines[start:end]
+        parts.append((name, start, list(compress(range(start + 1, end + 1), seg)),
+                      list(filter(None, seg))))
+        if end < len(lines):
+            name, start = lines[end][1:-1].strip().lower(), end + 1
+    return parts
+
+
 def _scan(text: str):
-    """Stage 1, the line pass: strip comments, cut the document into
-    sections and check the shape of every line.
+    """Stage 1, the line pass: cut the document into sections and check
+    the shape of every line.
 
     Returns each kind of line as its line numbers plus its node tokens:
     edge lines as numbers and both ends of every edge, line by line; role
@@ -196,24 +215,16 @@ def _scan(text: str):
     count. A malformed line raises its `line N:` error; of several, the
     first in the file does, as in a line-by-line reading.
     """
-    lines = list(map(str.strip, _field(text.splitlines(), "#", 0)))
-    heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
-    # section -> (line numbers, lines), blank lines left out
+    # section -> (line numbers, lines); a header may repeat
     body: dict[str, tuple[list[int], list[str]]] = {s: ([], []) for s in ("", *_SECTIONS)}
     errors: list[tuple[int, str]] = []  # the first bad line of each section
-    section, start = "", 0
-    for end in heads + [len(lines)]:
-        linenos, kept = body[section]
-        seg = lines[start:end]
-        linenos.extend(compress(range(start + 1, end + 1), seg))
-        kept.extend(filter(None, seg))
-        if end == len(lines):
-            break
-        section = lines[end][1:-1].strip().lower()
-        if section not in _SECTIONS:
-            errors.append((end + 1, f"unknown section [{section}]"))
+    for name, head, linenos, lines in split_sections(text):
+        # `head`, not the name: an empty header `[]` is named "" too
+        if head and name not in _SECTIONS:
+            errors.append((head, f"unknown section [{name}]"))
             break  # nothing after it is read
-        start = end + 1
+        body[name][0].extend(linenos)
+        body[name][1].extend(lines)
 
     edge_nos, kept = body[""]
     if not set(map(len, map(str.split, kept))) <= {2}:
@@ -342,11 +353,10 @@ def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch
     return n, pairs, role_map, prefs, aliases
 
 
-def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
-    """Parse an edge-list document into a validated Network.
+def load_edge_list(text: str, roles: dict | None = None) -> Network:
+    """Parse edge-list text into a validated Network.
 
-    `source` is the text itself or an open text stream. `roles` optionally
-    adds or overrides role annotations (keyed by id or alias name) on top
+    `roles` optionally adds or overrides role annotations (keyed by id or alias name) on top
     of the file's own `[roles]` section.
 
     Three stages: `_scan` checks the shape of every line and returns its
@@ -357,7 +367,6 @@ def load_edge_list(source: str | IO[str], roles: dict | None = None) -> Network:
     Valid input is checked in bulk; a line-by-line loop runs only when a
     bulk check fails, to raise the message that names the first bad line.
     """
-    text = source if isinstance(source, str) else source.read()
     return Network.from_edges(*_resolve(*_scan(text), roles))
 
 
@@ -381,14 +390,14 @@ def serialize_edge_list(net: Network) -> str:
 
 def ring(n: int) -> Network:
     if n < 2:
-        raise TopologyError("ring needs n >= 2")
+        raise GeneratorParamError("ring needs n >= 2")
     pairs = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
     return Network.from_edges(n, sorted(pairs))
 
 
 def grid(rows: int, cols: int) -> Network:
     if rows < 1 or cols < 1 or rows * cols < 2:
-        raise TopologyError("grid needs rows, cols >= 1 and at least 2 nodes")
+        raise GeneratorParamError("grid needs rows, cols >= 1 and at least 2 nodes")
     pairs = []
     for r in range(rows):
         for c in range(cols):
@@ -402,9 +411,9 @@ def grid(rows: int, cols: int) -> Network:
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Network:
     if n < 2:
-        raise TopologyError("erdos_renyi needs n >= 2")
+        raise GeneratorParamError("erdos_renyi needs n >= 2")
     if not 0.0 <= p <= 1.0:
-        raise TopologyError("erdos_renyi needs 0 <= p <= 1")
+        raise GeneratorParamError("erdos_renyi needs 0 <= p <= 1")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Network.from_edges(n, pairs)
@@ -416,9 +425,9 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Network:
     The complete core guarantees every node ends with degree >= m.
     """
     if n < 2:
-        raise TopologyError("barabasi_albert needs n >= 2")
+        raise GeneratorParamError("barabasi_albert needs n >= 2")
     if not 1 <= m < n:
-        raise TopologyError("barabasi_albert needs 1 <= m < n")
+        raise GeneratorParamError("barabasi_albert needs 1 <= m < n")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(m + 1) for v in range(u + 1, m + 1)]
     # one entry per edge endpoint: sampling from this list is degree-weighted
@@ -442,18 +451,17 @@ _GENERATORS = {
     "er": (erdos_renyi, ("n", "p"), True),
     "ba": (barabasi_albert, ("n", "m"), True),
 }
-_GENERATORS["erdos_renyi"] = _GENERATORS["er"]
-_GENERATORS["barabasi_albert"] = _GENERATORS["ba"]
 
 
 def generate_topology(kind: str, params: Iterable[float], seed: int = 0) -> Network:
     """Dispatch to a named generator; deterministic for fixed (kind, params, seed)."""
     if kind not in _GENERATORS:
-        raise TopologyError(f"unknown generator {kind!r} (choices: ring, grid, er, ba)")
+        raise GeneratorParamError(f"unknown generator {kind!r} (choices: ring, grid, er, ba)")
     fn, names, seeded = _GENERATORS[kind]
     args = list(params)
     if len(args) != len(names):
-        raise TopologyError(f"{kind} takes {len(names)} parameter(s): {kind}:{':'.join(names)}")
+        usage = ":".join((kind, *names))
+        raise GeneratorParamError(f"{kind} takes {len(names)} parameter(s): {usage}")
     for i, name in enumerate(names):
         x = float(args[i])
         if name != "p" and not x.is_integer():

@@ -344,3 +344,37 @@ def test_cascade_rejects_two_tokens_for_one_node(tmp_path, capsys, kind, section
     assert (f"{section}: {first!r} and {second!r} name the same node {node}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_validate_missing_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "missing.edges"
+    assert main(["validate", str(path)]) == 3
+    assert f"cannot read topology file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generate,msg", [
+    ("ba:5:9", "barabasi_albert needs 1 <= m < n"),
+    ("moebius:4", "unknown generator 'moebius'"),
+    ("ring", "ring takes 1 parameter(s): ring:n"),
+])
+def test_config_generate_errors_exit_2(tmp_path, capsys, generate, msg):
+    cfg = write_cfg(tmp_path, SI_RING_CFG.replace("generate=ring:10", f"generate={generate}"))
+    out = tmp_path / "o"
+    assert main(["epidemic", "--config", cfg, "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_non_numeric_parameter_is_an_argparse_error(tmp_path, capsys):
+    path = tmp_path / "r.edges"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "ring", "x", "--out", str(path)])
+    assert exc.value.code == 2
+    assert "invalid float value: 'x'" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_gen_without_out_writes_kind_edges_under_the_output_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("FAILPROP_OUT", str(tmp_path / "graphs"))
+    assert main(["gen", "ring", "5"]) == 0
+    assert load_edge_list(read(tmp_path / "graphs" / "ring.edges")).node_count == 5

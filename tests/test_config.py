@@ -11,6 +11,7 @@ from failprop.config import (
     load_config,
     parse_config,
     read_sections,
+    read_topology,
     render_resolved,
     resolve_node,
     resolve_seeds,
@@ -288,3 +289,56 @@ def test_render_resolved_epidemic_round_trip():
     assert cfg2.model == cfg.model
     assert cfg2.max_ticks == cfg.max_ticks
     assert render_resolved(cfg2, resolve_seeds(cfg2, build_network(cfg2))) == once
+
+
+@pytest.mark.parametrize("header", ["[]", "[ ]"])
+def test_read_sections_rejects_an_empty_header(header):
+    with pytest.raises(ConfigError, match=r"line 3: unknown section \[\]"):
+        read_sections(f"[run]\nmax_ticks=5\n{header}\nn_runs=2\n")
+
+
+def test_read_sections_keeps_line_numbers_across_comments_and_blanks():
+    sections = read_sections("# head\n\n[RUN]\n  # note\nmax_ticks=5\n\n[sweep]\n")
+    assert sections == {"run": [(5, "max_ticks=5")], "sweep": []}
+    with pytest.raises(ConfigError, match=r"line 3: 'seeds=1' appears before any"):
+        read_sections("# head\n\nseeds=1\n[run]\n")
+    with pytest.raises(ConfigError, match=r"line 4: duplicate section \[run\]"):
+        read_sections("[run]\n[sweep]\n\n[ Run ]\n")
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("[run]\nmax_ticks 5\n", r"line 2: expected key=value in \[run\], got 'max_ticks 5'"),
+    ("[run]\n\nbogus=1\n", r"line 3: unknown key 'bogus' in \[run\]"),
+    ("[run]\nn_runs=1\nn_runs=2\n", r"line 3: duplicate key 'n_runs' in \[run\]"),
+])
+def test_key_value_errors_name_their_line(text, msg):
+    with pytest.raises(ConfigError, match=msg):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("body", ["", "grid=,\n", "grid= , \n"])
+def test_sweep_needs_a_nonempty_grid(body):
+    with pytest.raises(ConfigError, match=r"\[sweep\] needs a nonempty grid= list"):
+        parse_config(f"[sweep]\n{body}")
+
+
+def test_output_takes_no_formats_key():
+    with pytest.raises(ConfigError, match=r"line 2: unknown key 'formats' in \[output\]"):
+        parse_config("[output]\nformats=csv\n")
+
+
+def test_scenario_section_checks_keep_their_order():
+    with pytest.raises(ConfigError, match=r"\[rate\] requires a \[scenario\]"):
+        parse_config("[capacity]\n0=1\n[rate]\n0=1\n")
+    with pytest.raises(ConfigError, match=r"\[demand\] does not belong in a vertical"):
+        parse_config("[scenario]\nkind=vertical\n[injection]\n0,1,1\n[demand]\n0,1,1\n")
+    with pytest.raises(ConfigError, match=r"\[attack\] does not belong in a horizontal"):
+        parse_config("[scenario]\nkind=horizontal\n[capacity]\n0=1\n[attack]\n0=1\n")
+
+
+def test_read_topology_names_an_unreadable_file(tmp_path):
+    path = tmp_path / "missing.edges"
+    with pytest.raises(TopologyError, match=f"cannot read topology file {path}"):
+        read_topology(path)
+    path.write_text("0 1\n")
+    assert read_topology(str(path)).edge_count() == 1

@@ -6,6 +6,7 @@ from failprop.topology import (
     CONTROLLER,
     CORE_SWITCH,
     EDGE_SWITCH,
+    GeneratorParamError,
     Network,
     TopologyError,
     barabasi_albert,
@@ -16,6 +17,7 @@ from failprop.topology import (
     load_edge_list,
     ring,
     serialize_edge_list,
+    split_sections,
     validate,
 )
 
@@ -336,3 +338,35 @@ def test_load_edge_list_half_header_is_a_malformed_line():
         load_edge_list("0 1\n[roles\n0=controller\n")
     with pytest.raises(TopologyError, match=r"line 3: expected 'id=role', got 'nodes\]'"):
         load_edge_list("0 1\n[roles]\nnodes]\n")
+
+
+@pytest.mark.parametrize("header", ["[]", "[ ]"])
+def test_load_edge_list_rejects_an_empty_section_header(header):
+    # an empty header is named "" like the edge part, but is not its continuation
+    with pytest.raises(TopologyError, match=r"line 2: unknown section \[\]"):
+        load_edge_list(f"0 1\n{header}\n1 2\n")
+
+
+def test_split_sections_keeps_line_numbers_and_drops_blanks():
+    parts = split_sections("0 1  # edge\n\n[ Roles ]\n# only a comment\n0=controller\n[nodes]\n")
+    assert parts == [
+        ("", 0, [1], ["0 1"]),
+        ("roles", 3, [5], ["0=controller"]),
+        ("nodes", 6, [], []),
+    ]
+
+
+@pytest.mark.parametrize("kind,params,msg", [
+    ("moebius", [4], "unknown generator 'moebius'"),
+    ("erdos_renyi", [10, 0.5], "unknown generator 'erdos_renyi'"),
+    ("barabasi_albert", [10, 2], "unknown generator 'barabasi_albert'"),
+    ("ring", [], "ring takes 1 parameter"),
+    ("ring", [1], "ring needs n >= 2"),
+    ("grid", [1, 1], "grid needs rows, cols >= 1"),
+    ("er", [10, 1.5], "erdos_renyi needs 0 <= p <= 1"),
+    ("ba", [5, 9], "barabasi_albert needs 1 <= m < n"),
+    ("ba", [10, 2.5], "parameter m must be an integer"),
+])
+def test_every_bad_generator_argument_is_a_generator_param_error(kind, params, msg):
+    with pytest.raises(GeneratorParamError, match=msg):
+        generate_topology(kind, params)
