@@ -273,32 +273,41 @@ def route_demand(net: Network, alive: set[int], src: int, dst: int,
 
     Hop count first; among equal-length paths the lexicographically
     smallest node-id sequence wins (largest when misroute is set).
-    Returns None when dst is unreachable.
+    Returns None when dst is unreachable; ids in `alive` outside
+    [0, node_count) are not nodes and are ignored.
+
+    Cost: an O(node_count) set-up, plus the nodes a breadth-first search
+    from dst visits before it reaches src.
     """
     if src == dst:
         raise ScenarioError(f"route endpoints are both {src}")
-    if src not in alive or dst not in alive:
+    n = net.node_count
+    if not (0 <= src < n and 0 <= dst < n) or src not in alive or dst not in alive:
         return None
     # distances to dst, then greedy walk: picking the extremal neighbor one
     # step closer at each hop yields the extremal tied path. The walk reads
     # only levels below dist[src], which are complete once src is reached.
+    # dist[v] is -1 until v is reached; `alive` is read only for a node not
+    # reached yet, so ids in it that are not nodes are never looked at.
     adj = net.adj
-    dist = {dst: 0}
+    dist = [-1] * n
+    dist[dst] = 0
     queue = deque([dst])
-    while queue and src not in dist:
+    while queue and dist[src] == -1:
         v = queue.popleft()
         d = dist[v] + 1
         for u in adj[v]:
-            if u in alive and u not in dist:
+            if dist[u] == -1 and u in alive:
                 dist[u] = d
                 queue.append(u)
-    if src not in dist:
+    if dist[src] == -1:
         return None
     pick = max if misroute else min
     path = [src]
     cur = src
     while cur != dst:
-        cur = pick(u for u in adj[cur] if u in alive and dist.get(u, -1) == dist[cur] - 1)
+        want = dist[cur] - 1
+        cur = pick(u for u in adj[cur] if dist[u] == want)
         path.append(cur)
     return path
 
@@ -432,15 +441,18 @@ class CascadeTrace:
                         if self.net.roles[v] != CONTROLLER]
             caps = self.scenario.node_capacity
         columns = [(s, _fmt(caps.get(s, INF))) for s in subjects]
+        text = {}  # each distinct load is formatted once
         lines = [header]
         for rnd in self.rounds:
             for subject, cap in columns:
                 if subject in rnd.failed_before:
                     load, status = "", "down"
-                elif subject in rnd.failed_now:
-                    load, status = _fmt(rnd.loads[subject]), "failed"
                 else:
-                    load, status = _fmt(rnd.loads[subject]), "ok"
+                    x = rnd.loads[subject]
+                    if x not in text:
+                        text[x] = _fmt(x)
+                    load = text[x]
+                    status = "failed" if subject in rnd.failed_now else "ok"
                 lines.append(f"{rnd.index},{subject},{load},{cap},{status}")
         return "\n".join(lines) + "\n"
 

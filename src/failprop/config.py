@@ -95,6 +95,17 @@ def _as_bool(value: str, name: str) -> bool:
     raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
+def _as_list(value: str, sep: str, name: str) -> list[str]:
+    """The stripped items of a `sep`-separated value; [] when all are blank,
+    an error when only some are."""
+    items = [t.strip() for t in value.split(sep)]
+    if not any(items):
+        return []
+    if not all(items):
+        raise ConfigError(f"{name} has an empty item, got {value!r}")
+    return items
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment file. Node references keep their raw tokens, since
@@ -155,9 +166,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
             tau=_as_float(kv.get("tau", "0"), "tau"),
             gamma=_as_float(kv.get("gamma", "0"), "gamma"),
         )
-        cfg.seed_tokens = tuple(
-            t.strip() for t in kv.get("seeds", "").split(",") if t.strip()
-        )
+        cfg.seed_tokens = tuple(_as_list(kv.get("seeds", ""), ",", "seeds"))
         if not cfg.seed_tokens:
             raise ConfigError("[model] needs a nonempty seeds= list")
 
@@ -189,9 +198,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
 
     if "sweep" in sections:
         kv = _kv(sections["sweep"], "sweep", ("grid",))
-        cfg.grid = tuple(
-            _as_float(t.strip(), "grid") for t in kv.get("grid", "").split(",") if t.strip()
-        )
+        cfg.grid = tuple(_as_float(t, "grid") for t in _as_list(kv.get("grid", ""), ",", "grid"))
         if not cfg.grid:
             raise ConfigError("[sweep] needs a nonempty grid= list")
 
@@ -276,7 +283,7 @@ def build_network(cfg: ExperimentConfig) -> Network:
     if cfg.topology_file is not None:
         return read_topology(cfg.base_dir / cfg.topology_file)
     kind, _, rest = cfg.topology_generate.partition(":")
-    params = [_as_float(t, "generate") for t in rest.split(":") if t.strip()]
+    params = [_as_float(t, "generate") for t in _as_list(rest, ":", "generate parameters")]
     return generate_topology(kind.strip(), params, cfg.gen_seed)
 
 

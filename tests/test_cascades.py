@@ -263,6 +263,21 @@ def test_route_unreachable_and_errors():
         route_demand(net, {0, 1}, 1, 1)
 
 
+@pytest.mark.parametrize("misroute", [False, True])
+def test_route_ignores_alive_ids_that_are_not_nodes(misroute):
+    net = ring(4)
+    # -1 is not node 3 (which is down here), and 7 is no node of ring(4)
+    assert route_demand(net, {0, 2, -1}, 0, 2, misroute) is None
+    assert route_demand(net, {0, 1, 2, 7}, 0, 2, misroute) == [0, 1, 2]
+
+
+def test_route_endpoint_that_is_not_a_node_is_unreachable():
+    net = ring(4)
+    alive = {-1, 0, 1, 2, 3, 7}
+    for src, dst in ((7, 0), (-1, 0), (0, 7), (0, -1)):
+        assert route_demand(net, alive, src, dst) is None
+
+
 def test_route_always_shortest_and_lexicographic_on_random_graphs():
     import random as _random
     from failprop.topology import erdos_renyi

@@ -75,6 +75,18 @@ def test_epidemic_empty_seed_list_is_a_config_error_before_the_topology(tmp_path
     assert "[model] needs a nonempty seeds= list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,msg", [
+    ("seeds=0", "seeds=0,,3", "seeds has an empty item, got '0,,3'"),
+    ("generate=ring:10", "generate=ring::10:", "generate parameters has an empty item"),
+])
+def test_epidemic_empty_list_item_exits_2(tmp_path, capsys, old, new, msg):
+    cfg = write_cfg(tmp_path, SI_RING_CFG.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["epidemic", "--config", cfg, "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_epidemic_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, SI_RING_CFG)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -237,6 +249,12 @@ def test_sweep_without_grid_exits_2(tmp_path):
 def test_sweep_empty_grid_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, SWEEP_CFG.replace("grid=0.1,0.4,0.8", "grid="))
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_sweep_empty_grid_item_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SWEEP_CFG.replace("grid=0.1,0.4,0.8", "grid=0.1,,0.8"))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "grid has an empty item, got '0.1,,0.8'" in capsys.readouterr().err
 
 
 def test_sweep_rerun_identical(tmp_path):

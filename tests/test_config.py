@@ -322,6 +322,26 @@ def test_sweep_needs_a_nonempty_grid(body):
         parse_config(f"[sweep]\n{body}")
 
 
+@pytest.mark.parametrize("text,msg", [
+    ("[model]\nmodel=SI\nbeta=1\nseeds=0,,3\n", "seeds has an empty item, got '0,,3'"),
+    ("[model]\nmodel=SI\nbeta=1\nseeds=0,\n", "seeds has an empty item, got '0,'"),
+    ("[model]\nmodel=SI\nbeta=1\nseeds=\n", r"\[model\] needs a nonempty seeds= list"),
+    ("[model]\nmodel=SI\nbeta=1\nseeds=,\n", r"\[model\] needs a nonempty seeds= list"),
+    ("[sweep]\ngrid=0.1,,0.2\n", "grid has an empty item, got '0.1,,0.2'"),
+    ("[sweep]\ngrid=,0.1\n", "grid has an empty item, got ',0.1'"),
+])
+def test_an_empty_list_item_is_an_error(text, msg):
+    with pytest.raises(ConfigError, match=msg):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("generate", ["ring::10", "ring:10:", "grid:3::3"])
+def test_an_empty_generator_parameter_is_an_error(generate):
+    cfg = parse_config(f"[topology]\ngenerate={generate}\n")
+    with pytest.raises(ConfigError, match="generate parameters has an empty item"):
+        build_network(cfg)
+
+
 def test_output_takes_no_formats_key():
     with pytest.raises(ConfigError, match=r"line 2: unknown key 'formats' in \[output\]"):
         parse_config("[output]\nformats=csv\n")
