@@ -130,7 +130,7 @@ def cmd_epidemic(args) -> int:
         out / "trace.csv": tr.counts_csv(),
         out / "events.csv": tr.events_csv(),
         out / "summary.json": _json_text(summary),
-        out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds),
+        out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds, aliases=net.aliases),
     })
     s, i, r, d = tr.counts[-1][1:]
     _say(
@@ -175,7 +175,7 @@ def cmd_cascade(args) -> int:
         out / "trace.csv": trace.csv(),
         out / "events.csv": _cascade_events_csv(trace),
         out / "summary.json": trace.terminal_json(),
-        out / "resolved-config.txt": cfgmod.render_resolved(cfg, scenario=sc),
+        out / "resolved-config.txt": cfgmod.render_resolved(cfg, scenario=sc, aliases=net.aliases),
     }
     if kind == "horizontal":
         files[out / "dropped.csv"] = trace.dropped_csv()
@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
     _write({
         out / "sweep.csv": result.csv(),
         out / "summary.json": _json_text(summary),
-        out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds),
+        out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds, aliases=net.aliases),
     })
     _say(
         f"sweep: {len(result.grid)} point(s), "

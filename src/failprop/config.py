@@ -11,7 +11,9 @@ Raw node tokens are resolved once, against the Network, by `resolve_seeds`
 and `build_*_scenario`. `render_resolved` writes the experiment back out
 in canonical form from the seed ids or the scenario the run used
 (defaults explicit, aliases replaced by ids, seed included), so a run
-directory always carries enough to reproduce itself.
+directory always carries enough to reproduce itself. A token that reads
+both as an alias and as the id of another node is an error, so an id that
+another node's alias spells is written with leading zeros.
 """
 
 from __future__ import annotations
@@ -288,6 +290,9 @@ def build_network(cfg: ExperimentConfig) -> Network:
 
 
 def resolve_node(net: Network, token: str, name: str) -> int:
+    """The node a config token names: an id that `int()` reads, or an alias
+    of a names-mode topology. A token that reads both ways, as an alias of
+    one node and as the id of another, is an error."""
     token = token.strip()
     try:
         v = int(token)
@@ -295,6 +300,9 @@ def resolve_node(net: Network, token: str, name: str) -> int:
         if net.aliases and token in net.aliases:
             return net.aliases[token]
         raise ConfigError(f"{name}: unknown node {token!r}") from None
+    if net.aliases is not None and net.aliases.get(token, v) != v:
+        raise ConfigError(f"{name}: {token!r} is ambiguous: alias {token!r} "
+                          f"(node {net.aliases[token]}) or node id {v}")
     if not 0 <= v < net.node_count:
         raise ConfigError(f"{name}: node id {v} out of range")
     return v
@@ -351,16 +359,34 @@ def build_horizontal_scenario(cfg: ExperimentConfig, net: Network) -> Horizontal
     return HorizontalScenario(capacity, demands, injection, cfg.misroute)
 
 
-def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None) -> str:
+def _id_text(aliases: dict[str, int] | None):
+    """How `render_resolved` writes a node id: `str`, or, for a names-mode
+    topology, the id with zeros put in front for as long as that spelling
+    is another node's alias, so that `resolve_node` reads it back as the
+    same node."""
+    if not aliases:
+        return str
+
+    def text(v: int) -> str:
+        t = str(v)
+        while aliases.get(t, v) != v:
+            t = "0" + t
+        return t
+    return text
+
+
+def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None, aliases=None) -> str:
     """Canonical text for the experiment a run used; reloading it
     reproduces the run (defaults written out, seed explicit). Nodes are
     written as the ids the run resolved: `seeds` for an epidemic or sweep,
-    `scenario` (a VerticalScenario or HorizontalScenario) for a cascade.
+    `scenario` (a VerticalScenario or HorizontalScenario) for a cascade;
+    `aliases` is the topology's alias table (see `_id_text`).
     [capacity] and [rate] keep the dicts' insertion order, which is file
     order because `_node_values` rejects a node named twice. The output
     directory and n_jobs are deliberately left out: where results land and
     how many processes computed them are not part of the experiment, and
     the outputs are identical for every n_jobs."""
+    node = _id_text(aliases)
     lines: list[str] = ["[topology]"]
     if cfg.topology_generate is not None:
         lines.append(f"generate={cfg.topology_generate}")
@@ -377,7 +403,7 @@ def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None) -> str:
             f"delta1={_fmt(p.delta1)}",
             f"tau={_fmt(p.tau)}",
             f"gamma={_fmt(p.gamma)}",
-            "seeds=" + ",".join(map(str, seeds)),
+            "seeds=" + ",".join(map(node, seeds)),
         ]
 
     lines += [
@@ -395,7 +421,7 @@ def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None) -> str:
     def values_section(name, mapping):
         if mapping:
             lines.extend(("", f"[{name}]"))
-            lines.extend([f"{v}={_fmt(x)}" for v, x in mapping.items()])
+            lines.extend([f"{node(v)}={_fmt(x)}" for v, x in mapping.items()])
 
     if cfg.scenario_kind == "vertical":
         lines += ["", "[scenario]", "kind=vertical"]
@@ -403,16 +429,16 @@ def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None) -> str:
         values_section("rate", scenario.base_rate)
         if scenario.attack is not None:
             switch, rate = scenario.attack
-            lines += ["", "[attack]", f"{switch}={_fmt(rate)}"]
+            lines += ["", "[attack]", f"{node(switch)}={_fmt(rate)}"]
     elif cfg.scenario_kind == "horizontal":
         lines += ["", "[scenario]", "kind=horizontal",
                   f"misroute={'true' if scenario.misroute else 'false'}"]
         values_section("capacity", scenario.node_capacity)
         if scenario.demands:
             lines += ["", "[demand]"]
-            lines += [f"{d.src},{d.dst},{_fmt(d.volume)}" for d in scenario.demands]
+            lines += [f"{node(d.src)},{node(d.dst)},{_fmt(d.volume)}" for d in scenario.demands]
         if scenario.injection is not None:
             e, x, vol = scenario.injection
-            lines += ["", "[injection]", f"{e},{x},{_fmt(vol)}"]
+            lines += ["", "[injection]", f"{node(e)},{node(x)},{_fmt(vol)}"]
 
     return "\n".join(lines) + "\n"

@@ -21,14 +21,19 @@ order of first appearance (edge ends line by line, then role ids, then
 each switch followed by its controllers), kept on the Network as an
 alias table. A node may have one `[roles]` line and one `[controllers]`
 line, and `[nodes]` one `count=` line; a repeat is an error, as is any
-malformed line, reported with its line number.
+malformed line, reported with its line number. A controller list may be
+empty (`0:`) but may not have an empty item (`0:1,,`, `0:1,`, `0:,1`).
 
 `split_sections`, which configs share, cuts a document into sections.
 Loading runs in three stages. The scan checks the shape of every line and
-returns its tokens. The resolve stage collects the distinct tokens once,
-in first-appearance order, into one dict that gives both the `int()` ids
-and the names' ids, and checks them. `Network.from_edges` then builds the
-graph; no token outlives the resolve stage.
+returns its tokens; each token is shared as it is cut, so equal tokens are
+one string object. A large file names few nodes many times (20,000
+switches with 8 controllers each are some 260k tokens for 20k nodes), and
+one object per token was most of the memory a load held. The resolve
+stage collects the distinct tokens once, in first-appearance order, into
+one dict that gives both the `int()` ids and the names' ids, and checks
+them. `Network.from_edges` then builds the graph; no token outlives the
+resolve stage.
 """
 
 from __future__ import annotations
@@ -204,6 +209,14 @@ def split_sections(text: str) -> list[tuple[str, int, list[int], list[str]]]:
     return parts
 
 
+class _Shared(dict):
+    """Token text -> the first string object cut with that text."""
+
+    def __missing__(self, token: str) -> str:
+        self[token] = token
+        return token
+
+
 def _scan(text: str):
     """Stage 1, the line pass: cut the document into sections and check
     the shape of every line.
@@ -214,6 +227,12 @@ def _scan(text: str):
     and one tuple of controller tokens per line; then the declared node
     count. A malformed line raises its `line N:` error; of several, the
     first in the file does, as in a line-by-line reading.
+
+    Every token, role names included, goes through one `_Shared` dict as
+    it is cut, so the scan returns one string object per distinct text:
+    the copies die with their line instead of living until `_resolve`
+    returns. The dict fills in scan order, not in alias order, so
+    `_resolve` does not reuse it.
     """
     # section -> (line numbers, lines); a header may repeat
     body: dict[str, tuple[list[int], list[str]]] = {s: ([], []) for s in ("", *_SECTIONS)}
@@ -230,7 +249,8 @@ def _scan(text: str):
     if not set(map(len, map(str.split, kept))) <= {2}:
         errors.append(_first((len(x.split()) != 2 for x in kept), edge_nos, kept,
                              "expected 'u v', got {!r}"))
-    ends = " ".join(kept).split()
+    share = _Shared().__getitem__
+    ends = list(map(share, " ".join(kept).split()))
 
     declared_count: int | None = None
     for lineno, line in zip(*body["nodes"]):
@@ -259,14 +279,18 @@ def _scan(text: str):
     ):
         if not all(map(str.__contains__, kept, repeat(sep))):
             errors.append(_first((sep not in x for x in kept), linenos, kept, msg))
+    # `0:` is an empty list; `0:1,,`, `0:1,` and `0:,1` have an empty item
+    prefs = [tuple(map(share, map(str.strip, rest.split(",")))) if rest else ()
+             for rest in _field(pref_lines, ":", 2)]
+    if "" in chain.from_iterable(prefs):
+        errors.append(_first(map(tuple.__contains__, prefs, repeat("")), pref_nos, pref_lines,
+                             "empty controller item, got {!r}"))
     if errors:
         raise _err(*min(errors))
 
-    role_ids = list(map(str.strip, _field(role_lines, "=", 0)))
-    role_names = list(map(str.strip, _field(role_lines, "=", 2)))
-    switches = list(map(str.strip, _field(pref_lines, ":", 0)))
-    prefs = [tuple(filter(None, map(str.strip, rest.split(","))))
-             for rest in _field(pref_lines, ":", 2)]
+    role_ids = list(map(share, map(str.strip, _field(role_lines, "=", 0))))
+    role_names = list(map(share, map(str.strip, _field(role_lines, "=", 2))))
+    switches = list(map(share, map(str.strip, _field(pref_lines, ":", 0))))
     return edge_nos, ends, role_nos, role_ids, role_names, pref_nos, switches, prefs, declared_count
 
 
@@ -360,9 +384,10 @@ def load_edge_list(text: str, roles: dict | None = None) -> Network:
     of the file's own `[roles]` section.
 
     Three stages: `_scan` checks the shape of every line and returns its
-    tokens; `_resolve` maps them to ids through one dict of the distinct
-    tokens in first-appearance order (their `int()` values, or the names'
-    dense ids) and checks the ids; `Network.from_edges` builds the graph.
+    tokens, one string object per distinct text; `_resolve` maps them to
+    ids through one dict of the distinct tokens in first-appearance order
+    (their `int()` values, or the names' dense ids) and checks the ids;
+    `Network.from_edges` builds the graph.
     The tokens die when `_resolve` returns, before the Network is built.
     Valid input is checked in bulk; a line-by-line loop runs only when a
     bulk check fails, to raise the message that names the first bad line.

@@ -311,6 +311,13 @@ def test_validate_malformed_file_exits_3(tmp_path):
     assert main(["validate", str(path)]) == 3
 
 
+def test_validate_empty_controller_item_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text("0 1\n[roles]\n1=controller\n[controllers]\n0:1,,\n")
+    assert main(["validate", str(path)]) == 3
+    assert "line 5: empty controller item" in capsys.readouterr().err
+
+
 def test_validate_via_config(tmp_path):
     cfg = write_cfg(tmp_path, "[topology]\ngenerate=grid:3:3\n")
     assert main(["validate", "--config", cfg]) == 0

@@ -227,6 +227,25 @@ def test_resolve_node_and_seeds(tmp_path):
         resolve_node(net, "77", "x")
 
 
+def test_resolve_node_rejects_an_integer_spelled_alias_of_another_node(tmp_path):
+    (tmp_path / "net.edges").write_text("a 5\n5 b\n0 b\n")
+    cfg = parse_config("[topology]\nfile=net.edges\n[model]\nmodel=SI\nbeta=1\nseeds=a\n",
+                       base_dir=tmp_path)
+    net = build_network(cfg)  # aliases a=0, 5=1, b=2, 0=3
+    with pytest.raises(ConfigError, match=r"x: '5' is ambiguous: alias '5' \(node 1\) "
+                                          r"or node id 5"):
+        resolve_node(net, "5", "x")
+    with pytest.raises(ConfigError, match=r"'0' is ambiguous: alias '0' \(node 3\) or node id 0"):
+        resolve_node(net, " 0 ", "x")
+    assert resolve_node(net, "1", "x") == 1  # no alias spells 1: the id
+    assert resolve_node(net, "00", "x") == 0
+    # the resolved config writes node 0 as 00, which reads back as node 0
+    once = render_resolved(cfg, (0, 1), aliases=net.aliases)
+    assert "seeds=00,1\n" in once
+    cfg2 = parse_config(once, base_dir=tmp_path)
+    assert resolve_seeds(cfg2, build_network(cfg2)) == (0, 1)
+
+
 def test_build_vertical_scenario_with_aliases(tmp_path):
     (tmp_path / "net.edges").write_text(VERTICAL_EDGES)
     cfg = parse_config(VERTICAL_CFG, base_dir=tmp_path)

@@ -15,8 +15,9 @@ byte for byte.
 `reference_load_edge_list`, `reference_from_edges` and
 `reference_network_checks` copy the edge-list parser and the Network
 checks from when they converted every token twice and checked every line,
-edge and preference in a loop; the bulk checks must give the same Network
-or raise the same error with the same message.
+edge and preference in a loop, with one check added since: an empty item
+in a controller list is an error. The bulk checks must give the same
+Network or raise the same error with the same message.
 
 `brute_force_route` enumerates every simple path, so `route_demand` is
 also checked against the definition of the path it must return rather
@@ -61,6 +62,7 @@ from failprop.cascades import (
     validate_vertical,
 )
 from failprop.config import (
+    ConfigError,
     _as_float,
     build_horizontal_scenario,
     build_network,
@@ -896,6 +898,8 @@ def reference_load_edge_list(source, roles=None):
             token, sep, rest = line.partition(":")
             if sep != ":":
                 raise _ref_err(lineno, f"expected 'switch:ctrl,ctrl,...', got {line!r}")
+            if rest and not all(t.strip() for t in rest.split(",")):
+                raise _ref_err(lineno, f"empty controller item, got {line!r}")
             ctrls = [t.strip() for t in rest.split(",") if t.strip()]
             pref_lines.append((lineno, token.strip(), ctrls))
 
@@ -1009,7 +1013,7 @@ PLANTS = (
     "self-loop", "duplicate edge", "negative id", "gap in ids", "dangling id", "unknown role",
     "duplicate controller", "non-controller preference", "non-switch preference",
     "new nodes in [controllers]", "bad edge line", "unknown section", "half a header",
-    "bad role line", "bad controllers line", "bad count",
+    "bad role line", "bad controllers line", "bad count", "empty controller item",
     # twice as likely: each needs a document that passes every earlier check
     "duplicate controller", "non-controller preference", "new nodes in [controllers]",
     "half a header", "bad count",
@@ -1111,10 +1115,17 @@ def edge_documents(draw):
 
     role_lines = [f"{tok(v)}{pad()}={pad()}{role}" for v, role in roles]
     pref_lines = []
-    for sw, cs in prefs:
-        sep = draw(st.sampled_from((",", ",", ", ", " ,", ",,")))
-        tail = draw(st.sampled_from(("", "", ",", " ")))
-        pref_lines.append(f"{tok(sw)}{pad()}:{pad()}{sep.join(tok(c) for c in cs)}{tail}")
+    empty_at = -1  # the preference line given an empty item
+    if "empty controller item" in planted and prefs:
+        empty_at = draw(st.integers(0, len(prefs) - 1))
+    for i, (sw, cs) in enumerate(prefs):
+        sep = draw(st.sampled_from((",", ",", ", ", " ,")))
+        tail = draw(st.sampled_from(("", "", " ")))
+        items = [tok(c) for c in cs]
+        # `sw:1,,2`, `sw:1,`, `sw:,1`; an empty list needs two items to show a comma
+        for _ in range(2 if i == empty_at and not items else int(i == empty_at)):
+            items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(("", " "))))
+        pref_lines.append(f"{tok(sw)}{pad()}:{pad()}{sep.join(items)}{tail}")
     count_lines = [] if count is None else [f"count{pad()}={pad()}{count}"]
     if "bad role line" in planted:
         role_lines.insert(draw(st.integers(0, len(role_lines))), "0 controller")
@@ -1236,6 +1247,16 @@ def test_edge_list_round_trip_is_byte_identical(net):
 # resolved-config.txt
 
 
+def reference_id(net, token, name):
+    """The id of the node a token names, with zeros put in front while the
+    plain id is another node's alias."""
+    v = resolve_node(net, token, name)
+    text = str(v)
+    while net.aliases and text in net.aliases and net.aliases[text] != v:
+        text = "0" + text
+    return text
+
+
 def reference_render_resolved(cfg, net):
     """Canonical text for the effective experiment; reloading it reproduces
     the run (defaults written out, aliases replaced by ids, seed explicit).
@@ -1258,7 +1279,7 @@ def reference_render_resolved(cfg, net):
             f"delta1={_fmt(p.delta1)}",
             f"tau={_fmt(p.tau)}",
             f"gamma={_fmt(p.gamma)}",
-            "seeds=" + ",".join(str(v) for v in resolve_seeds(cfg, net)),
+            "seeds=" + ",".join(reference_id(net, t, "seeds") for t in cfg.seed_tokens),
         ]
 
     lines += [
@@ -1280,25 +1301,25 @@ def reference_render_resolved(cfg, net):
         if cfg.capacity_lines:
             lines += ["", "[capacity]"]
             lines += [
-                f"{resolve_node(net, k, 'capacity')}={_fmt(_as_float(v, 'capacity'))}"
+                f"{reference_id(net, k, 'capacity')}={_fmt(_as_float(v, 'capacity'))}"
                 for k, v in cfg.capacity_lines
             ]
         if cfg.rate_lines:
             lines += ["", "[rate]"]
             lines += [
-                f"{resolve_node(net, k, 'rate')}={_fmt(_as_float(v, 'rate'))}"
+                f"{reference_id(net, k, 'rate')}={_fmt(_as_float(v, 'rate'))}"
                 for k, v in cfg.rate_lines
             ]
         if cfg.attack_line is not None:
             k, v = cfg.attack_line
             lines += ["", "[attack]",
-                      f"{resolve_node(net, k, 'attack')}={_fmt(_as_float(v, 'attack'))}"]
+                      f"{reference_id(net, k, 'attack')}={_fmt(_as_float(v, 'attack'))}"]
         if cfg.demand_lines:
             lines += ["", "[demand]"]
             lines += [
                 ",".join((
-                    str(resolve_node(net, s, "demand src")),
-                    str(resolve_node(net, d, "demand dst")),
+                    reference_id(net, s, "demand src"),
+                    reference_id(net, d, "demand dst"),
                     _fmt(_as_float(vol, "demand volume")),
                 ))
                 for s, d, vol in cfg.demand_lines
@@ -1307,8 +1328,8 @@ def reference_render_resolved(cfg, net):
             e, x, vol = cfg.injection_line
             lines += ["", "[injection]",
                       ",".join((
-                          str(resolve_node(net, e, "injection entry")),
-                          str(resolve_node(net, x, "injection exit")),
+                          reference_id(net, e, "injection entry"),
+                          reference_id(net, x, "injection exit"),
                           _fmt(_as_float(vol, "injection volume")),
                       ))]
 
@@ -1332,11 +1353,13 @@ def spelled_probabilities(hi=1.0):
 
 @st.composite
 def topologies(draw):
-    """(the [topology] lines, edge-list text or None, per-node spellings).
+    """(the [topology] lines, edge-list text or None, per-node spellings,
+    ambiguous tokens).
 
-    Nodes are named by id (`3`, `+3`, `03`) or by a non-integer alias only:
-    a reference that spells an integer-named alias is read as an id, so such
-    tokens are never used."""
+    A node is spelled by id (`3`, `+3`, `03`) or by alias, integer-named
+    aliases included, whenever the spelling names no other node. The
+    ambiguous tokens are the integer-named aliases of nodes with another
+    id, such as `5` for node 1: a reference to one is an error."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 7))
         names = draw(st.lists(
@@ -1365,21 +1388,25 @@ def topologies(draw):
                  f"gen_seed={draw(st.integers(0, 99))}"]
     spellings = []
     for v in range(n):
-        options = [t for t in (str(v), f"+{v}", f"0{v}") if t not in aliases]
-        options += [name for name, u in aliases.items() if u == v and not name.isdigit()]
-        spellings.append(options)
-    return lines, text, spellings
+        options = [t for t in (str(v), f"+{v}", f"0{v}") if aliases.get(t, v) == v]
+        options += [name for name, u in aliases.items()
+                    if u == v and not (name.isdigit() and int(name) != v)]
+        spellings.append(list(dict.fromkeys(options)))
+    ambiguous = [name for name, u in aliases.items() if name.isdigit() and int(name) != u]
+    return lines, text, spellings, ambiguous
 
 
 @st.composite
 def experiments(draw):
     """(config text, edge-list text or None) of an epidemic, sweep,
     vertical or horizontal experiment."""
-    topology, edges, spellings = draw(topologies())
+    topology, edges, spellings, ambiguous = draw(topologies())
     n = len(spellings)
     kind = draw(st.sampled_from(["epidemic", "sweep", "vertical", "horizontal"]))
 
     def node(v=None):
+        if ambiguous and draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(ambiguous))
         v = draw(st.integers(0, n - 1)) if v is None else v
         return draw(st.sampled_from(spellings[v]))
 
@@ -1387,7 +1414,8 @@ def experiments(draw):
         nodes = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         if not nodes and draw(st.booleans()):
             return []
-        return ["", f"[{name}]"] + [f"{node(v)}={draw(spelled_amounts())}" for v in nodes]
+        keys = dict.fromkeys(node(v) for v in nodes)  # an ambiguous token may come twice
+        return ["", f"[{name}]"] + [f"{k}={draw(spelled_amounts())}" for k in keys]
 
     lines = ["[topology]", *topology]
     if kind in ("epidemic", "sweep"):
@@ -1440,10 +1468,29 @@ def resolved(cfg, net):
     return resolve_seeds(cfg, net)
 
 
-def render(cfg, values):
+def render(cfg, values, net):
     if cfg.scenario_kind is None:
-        return render_resolved(cfg, values)
-    return render_resolved(cfg, scenario=values)
+        return render_resolved(cfg, values, aliases=net.aliases)
+    return render_resolved(cfg, scenario=values, aliases=net.aliases)
+
+
+def ambiguity_errors(cfg, net):
+    """The error text of each node token of `cfg` that is the alias of one
+    node and the `int()` spelling of another id."""
+    tokens = [*cfg.seed_tokens, *(k for k, _ in cfg.capacity_lines),
+              *(k for k, _ in cfg.rate_lines), *(cfg.attack_line or ())[:1],
+              *(t for s, d, _ in cfg.demand_lines for t in (s, d)),
+              *(cfg.injection_line or ())[:2]]
+    found = set()
+    for t in map(str.strip, tokens):
+        if net.aliases and t in net.aliases:
+            try:
+                v = int(t)
+            except ValueError:
+                continue
+            if v != net.aliases[t]:
+                found.add(f"{t!r} is ambiguous: alias {t!r} (node {net.aliases[t]}) or node id {v}")
+    return found
 
 
 @settings(deadline=None)
@@ -1455,10 +1502,17 @@ def test_render_resolved_matches_token_oracle_and_is_a_fixed_point(case):
             (Path(d) / "net.edges").write_text(edges)
         cfg = parse_config(text, base_dir=d)
         net = build_network(cfg)
+        expected = ambiguity_errors(cfg, net)
+        if expected:
+            with pytest.raises(ConfigError) as exc:
+                resolved(cfg, net)
+            assert str(exc.value).split(": ", 1)[1] in expected
+            return
         values = resolved(cfg, net)
-        once = render(cfg, values)
+        once = render(cfg, values, net)
         assert once == reference_render_resolved(cfg, net)
         cfg2 = parse_config(once, base_dir=d)
-        values2 = resolved(cfg2, build_network(cfg2))
+        net2 = build_network(cfg2)
+        values2 = resolved(cfg2, net2)
         assert repr(values2) == repr(values)
-        assert render(cfg2, values2) == once
+        assert render(cfg2, values2, net2) == once

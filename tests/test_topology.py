@@ -9,6 +9,7 @@ from failprop.topology import (
     GeneratorParamError,
     Network,
     TopologyError,
+    _scan,
     barabasi_albert,
     connected_components,
     erdos_renyi,
@@ -345,6 +346,28 @@ def test_load_edge_list_rejects_an_empty_section_header(header):
     # an empty header is named "" like the edge part, but is not its continuation
     with pytest.raises(TopologyError, match=r"line 2: unknown section \[\]"):
         load_edge_list(f"0 1\n{header}\n1 2\n")
+
+
+@pytest.mark.parametrize("line", ["0:1,,", "0:1,", "0:,1", "0: 1 , ,2", "0:,"])
+def test_load_edge_list_rejects_an_empty_controller_item(line):
+    text = f"0 1\n[roles]\n1=controller\n[controllers]\n{line}\n[roles]\n0 edge\n"
+    with pytest.raises(TopologyError, match=f"line 5: empty controller item, got '{line}'"):
+        load_edge_list(text)
+
+
+@pytest.mark.parametrize("text", [
+    "10 11\n11 12\n[roles]\n11=edge_switch\n10=controller\n12=controller\n"
+    "[controllers]\n11:10,12\n10:11\n",
+    # names of more than one character: CPython caches one-character strings
+    "ca sw\nsw cb\n[roles]\nsw = edge_switch\nca=controller\ncb=controller\n"
+    "[controllers]\nsw:ca, cb\nca : sw\n",
+])
+def test_scan_returns_one_string_object_per_distinct_token(text):
+    # each token text occurs as an edge end, a role id, a switch and a controller
+    _, ends, _, role_ids, role_names, _, switches, prefs, _ = _scan(text)
+    toks = [*ends, *role_ids, *role_names, *switches, *(c for cs in prefs for c in cs)]
+    assert len(set(toks)) == 5
+    assert len({id(t) for t in toks}) == len(set(toks))
 
 
 def test_split_sections_keeps_line_numbers_and_drops_blanks():
