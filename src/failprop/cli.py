@@ -274,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         if jobs:
             p.add_argument("--jobs", type=int,
-                           help="worker processes for Monte Carlo replicas (default: the "
-                                "config's n_jobs); outputs are identical for any value")
+                           help="worker processes for replicas (epidemic) or grid points "
+                                "(sweep) (default: the config's n_jobs); outputs are "
+                                "identical for any value")
 
     p = sub.add_parser("epidemic", help="run a compartment-model experiment")
     common(p, jobs=True)

@@ -34,6 +34,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 from .rng import derive_seed
 from .topology import Network
@@ -366,14 +367,10 @@ def monte_carlo(
     """Run n_runs independent replicas and aggregate their traces.
 
     Replica i always uses the seed derived from (base_seed, i). The caller
-    runs replica 0 and keeps its trace. With n_jobs > 1, replicas
-    1..n_runs-1 run meanwhile in min(n_jobs, n_runs - 1) worker processes
-    (default start method; the pool starts in about 20-40 ms), which send
-    back only counts rows and outbreak sizes. Replicas are folded into
-    integer running sums, mins and maxs as they arrive, which is exact in
-    any order, and outbreak sizes are placed by replica index, so the
-    result is identical for every n_jobs. Memory holds one trace per
-    process and O(ticks + n_runs) numbers.
+    runs replica 0 and keeps its trace; the others run through `map_tasks`.
+    Replicas are folded into integer running sums, mins and maxs, which is
+    exact in any order, so the result is identical for every n_jobs.
+    Memory holds one trace per process and O(ticks + n_runs) numbers.
     """
     if n_runs < 1:
         raise EpidemicError(f"n_runs must be >= 1, got {n_runs}")
@@ -385,35 +382,22 @@ def monte_carlo(
     # aggregate of the final rows of the replicas folded so far: a replica
     # that ended earlier sits at its final row for every later tick
     end_sum, end_min, end_max = [0] * 4, [n] * 4, [0] * 4
-    outbreak_sizes = [0.0] * n_runs
-
-    def fold(i, rows, infected):
-        while len(sums) < len(rows):
-            sums.append(end_sum[:])
-            mins.append(end_min[:])
-            maxs.append(end_max[:])
-        last = rows[-1]
-        for t in range(len(sums)):
-            row = rows[t] if t < len(rows) else last
-            _fold(sums[t], mins[t], maxs[t], row)
-        _fold(end_sum, end_min, end_max, last)
-        outbreak_sizes[i] = infected / n
+    outbreak_sizes = []
 
     job = (net, seeds, p, max_ticks, stop, base_seed)
-    others = range(1, n_runs)
-    if n_jobs > 1 and others:
-        import multiprocessing  # not at module level: it costs ~20 ms of import
-
-        pool = multiprocessing.Pool(min(n_jobs, len(others)), _init_worker, job)
-        results = pool.imap_unordered(_worker_replica, others)
-    else:
-        pool = contextlib.nullcontext()
-        results = map(partial(_replica, job), others)
-    with pool:
+    with map_tasks(_replica, job, range(1, n_runs), n_jobs) as results:
         replica0 = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, 0))
-        fold(0, replica0.counts, len(replica0.ever_infected))
-        for result in results:
-            fold(*result)
+        for rows, infected in chain([(replica0.counts, len(replica0.ever_infected))], results):
+            while len(sums) < len(rows):
+                sums.append(end_sum[:])
+                mins.append(end_min[:])
+                maxs.append(end_max[:])
+            last = rows[-1]
+            for t in range(len(sums)):
+                row = rows[t] if t < len(rows) else last
+                _fold(sums[t], mins[t], maxs[t], row)
+            _fold(end_sum, end_min, end_max, last)
+            outbreak_sizes.append(infected / n)
 
     return AggregateStats(
         node_count=n,
@@ -428,24 +412,41 @@ def monte_carlo(
 
 
 def _replica(job, i):
-    """Replica i of a batch as (i, counts rows, number of nodes ever infected)."""
+    """Replica i of a batch as (counts rows, number of nodes ever infected)."""
     net, seeds, p, max_ticks, stop, base_seed = job
     tr = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
-    return i, tr.counts, len(tr.ever_infected)
+    return tr.counts, len(tr.ever_infected)
 
 
-# a pool worker's batch arguments, set in each worker process (never in the
-# caller) by the pool initializer, so they are sent once per process, not per task
-_worker_job = None
+@contextlib.contextmanager
+def map_tasks(fn, job, tasks, n_jobs: int):
+    """Yield the results of fn(job, task) for each task, in task order.
+
+    With n_jobs > 1 they run in one pool of min(n_jobs, len(tasks)) worker
+    processes (~20-40 ms to start), each sent `job` once by its initializer,
+    while the caller works in the `with` block; leaving it stops the pool.
+    Otherwise they run in the caller as it iterates.
+    """
+    if n_jobs < 1:
+        raise EpidemicError(f"n_jobs must be >= 1, got {n_jobs}")
+    if n_jobs == 1 or not tasks:
+        yield map(partial(fn, job), tasks)
+    else:
+        import multiprocessing  # not at module level: it costs ~20 ms of import
+        with multiprocessing.Pool(min(n_jobs, len(tasks)), _init_worker, (fn, job)) as pool:
+            yield pool.imap(_worker_task, tasks)
 
 
-def _init_worker(*job):
-    global _worker_job
-    _worker_job = job
+_worker_fn = None  # fn(job, .) in a pool worker, set by the pool initializer
 
 
-def _worker_replica(i):
-    return _replica(_worker_job, i)
+def _init_worker(fn, job):
+    global _worker_fn
+    _worker_fn = partial(fn, job)
+
+
+def _worker_task(task):
+    return _worker_fn(task)
 
 
 def _fold(sums: list[int], mins: list[int], maxs: list[int], row) -> None:

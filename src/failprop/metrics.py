@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .cascades import CascadeTrace, _fmt
-from .epidemic import D, EpidemicParams, SimulationTrace, StateVector, monte_carlo
+from .epidemic import D, EpidemicParams, SimulationTrace, StateVector, map_tasks, monte_carlo
 from .rng import derive_seed
 from .topology import Network, connected_components
 
@@ -120,9 +120,8 @@ def threshold_sweep(
 
     Grid point i reruns monte_carlo with the stream derived from
     (base_seed, i), so the whole sweep is reproducible from one seed and
-    independent of execution order. n_jobs is passed to each monte_carlo
-    call, so every grid point starts its own worker pool when n_jobs > 1;
-    the result is the same for every n_jobs.
+    independent of execution order. The caller runs point 0 and the others
+    run through `map_tasks`, so the result is the same for every n_jobs.
     """
     grid = tuple(float(b) for b in grid)
     if not grid:
@@ -131,14 +130,15 @@ def threshold_sweep(
         raise MetricsError("grid must be strictly increasing")
     if not 0.0 < epsilon < 1.0:
         raise MetricsError(f"epsilon must be in (0, 1), got {epsilon}")
-    response = []
-    stderrs = []
-    for i, beta in enumerate(grid):
-        p = replace(template, beta=beta)
-        agg = monte_carlo(
-            net, seeds, p, max_ticks, stop,
-            n_runs=n_runs, base_seed=derive_seed(base_seed, i), n_jobs=n_jobs,
-        )
-        response.append(agg.mean_outbreak)
-        stderrs.append(agg.stderr_outbreak)
-    return SweepResult(grid, tuple(response), tuple(stderrs), n_runs, epsilon)
+    job = (net, seeds, template, grid, n_runs, max_ticks, base_seed, stop)
+    with map_tasks(_point, job, range(1, len(grid)), n_jobs) as results:
+        response, stderrs = zip(_point(job, 0), *results)
+    return SweepResult(grid, response, stderrs, n_runs, epsilon)
+
+
+def _point(job, i):
+    """Grid point i of a sweep as (mean outbreak, its standard error)."""
+    net, seeds, template, grid, n_runs, max_ticks, base_seed, stop = job
+    agg = monte_carlo(net, seeds, replace(template, beta=grid[i]), max_ticks, stop,
+                      n_runs=n_runs, base_seed=derive_seed(base_seed, i))
+    return agg.mean_outbreak, agg.stderr_outbreak

@@ -22,7 +22,8 @@ each switch followed by its controllers), kept on the Network as an
 alias table. A node may have one `[roles]` line and one `[controllers]`
 line, and `[nodes]` one `count=` line; a repeat is an error, as is any
 malformed line, reported with its line number. A controller list may be
-empty (`0:`) but may not have an empty item (`0:1,,`, `0:1,`, `0:,1`).
+empty (`0:`) but may not have an empty item (`0:1,,`, `0:1,`, `0:,1`), and
+no node id may be empty (`=controller`, `:1`).
 
 `split_sections`, which configs share, cuts a document into sections.
 Loading runs in three stages. The scan checks the shape of every line and
@@ -273,12 +274,17 @@ def _scan(text: str):
 
     role_nos, role_lines = body["roles"]
     pref_nos, pref_lines = body["controllers"]
-    for linenos, kept, sep, msg in (
-        (role_nos, role_lines, "=", "expected 'id=role', got {!r}"),
-        (pref_nos, pref_lines, ":", "expected 'switch:ctrl,ctrl,...', got {!r}"),
+    role_ids = list(map(share, map(str.strip, _field(role_lines, "=", 0))))
+    switches = list(map(share, map(str.strip, _field(pref_lines, ":", 0))))
+    for linenos, kept, sep, ids, msg in (
+        (role_nos, role_lines, "=", role_ids, "expected 'id=role', got {!r}"),
+        (pref_nos, pref_lines, ":", switches, "expected 'switch:ctrl,ctrl,...', got {!r}"),
     ):
         if not all(map(str.__contains__, kept, repeat(sep))):
             errors.append(_first((sep not in x for x in kept), linenos, kept, msg))
+        if "" in ids:
+            errors.append(_first(map(eq, ids, repeat("")), linenos, kept,
+                                 "empty node id, got {!r}"))
     # `0:` is an empty list; `0:1,,`, `0:1,` and `0:,1` have an empty item
     prefs = [tuple(map(share, map(str.strip, rest.split(",")))) if rest else ()
              for rest in _field(pref_lines, ":", 2)]
@@ -286,11 +292,10 @@ def _scan(text: str):
         errors.append(_first(map(tuple.__contains__, prefs, repeat("")), pref_nos, pref_lines,
                              "empty controller item, got {!r}"))
     if errors:
-        raise _err(*min(errors))
+        # of two errors on one line, the one appended first (its node id) wins
+        raise _err(*min(errors, key=itemgetter(0)))
 
-    role_ids = list(map(share, map(str.strip, _field(role_lines, "=", 0))))
     role_names = list(map(share, map(str.strip, _field(role_lines, "=", 2))))
-    switches = list(map(share, map(str.strip, _field(pref_lines, ":", 0))))
     return edge_nos, ends, role_nos, role_ids, role_names, pref_nos, switches, prefs, declared_count
 
 

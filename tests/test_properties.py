@@ -15,20 +15,24 @@ byte for byte.
 `reference_load_edge_list`, `reference_from_edges` and
 `reference_network_checks` copy the edge-list parser and the Network
 checks from when they converted every token twice and checked every line,
-edge and preference in a loop, with one check added since: an empty item
-in a controller list is an error. The bulk checks must give the same
-Network or raise the same error with the same message.
+edge and preference in a loop, with two checks added since: an empty item
+in a controller list and an empty node id in `[roles]` or `[controllers]`
+are errors. The bulk checks must give the same Network or raise the same
+error with the same message.
 
 `brute_force_route` enumerates every simple path, so `route_demand` is
 also checked against the definition of the path it must return rather
 than only against an earlier BFS; serial `monte_carlo` is the oracle for
-replicas run in worker processes.
+replicas run in worker processes, and serial `threshold_sweep` for grid
+points run in worker processes.
 
 `reference_render_resolved` copies `render_resolved` from when it resolved
 and parsed every raw node token of the config a second time; rendering from
 the seed ids or the scenario the run resolved must give the same text.
 """
 
+import multiprocessing
+import multiprocessing.pool
 import random
 import tempfile
 from collections import deque
@@ -78,10 +82,12 @@ from failprop.epidemic import (
     EpidemicParams,
     StateVector,
     initial_state,
+    map_tasks,
     monte_carlo,
     run,
     step,
 )
+from failprop.metrics import threshold_sweep
 from failprop.rng import derive_seed
 from failprop.topology import (
     CONTROLLER,
@@ -391,6 +397,79 @@ def test_pooled_monte_carlo_raises_what_serial_raises(bad):
             monte_carlo(**args, n_runs=3, n_jobs=n_jobs)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("n_jobs", (0, -4))
+def test_n_jobs_below_one_is_an_error(n_jobs):
+    p = EpidemicParams("SI", beta=0.5)
+    message = f"n_jobs must be >= 1, got {n_jobs}"
+    for n_runs in (1, 3):
+        with pytest.raises(EpidemicError, match=message):
+            monte_carlo(ring(6), {0}, p, 10, n_runs=n_runs, n_jobs=n_jobs)
+    with pytest.raises(EpidemicError, match=message):
+        threshold_sweep(ring(6), {0}, p, [0.1, 0.2], n_runs=2, max_ticks=10, n_jobs=n_jobs)
+
+
+# every pooled example starts a pool, about 20-40 ms, so examples are few
+@pytest.mark.parametrize("n_runs, points", [(1, 3), (3, 1), (3, 4)])
+@settings(deadline=None, max_examples=3)
+@given(data=st.data(), base_seed=st.integers(0, 2**32))
+def test_threshold_sweep_in_worker_processes_matches_serial(n_runs, points, data, base_seed):
+    net = data.draw(networks())
+    template = data.draw(params())
+    seeds = data.draw(st.sets(st.integers(0, net.node_count - 1), min_size=1))
+    grid = sorted(data.draw(st.sets(probs, min_size=points, max_size=points)))
+    stop = data.draw(st.sampled_from(("absorb", "fixed_ticks")))
+    args = (net, seeds, template, grid, n_runs, data.draw(st.integers(1, 25)), 0.05, base_seed,
+            stop)
+    serial = threshold_sweep(*args, n_jobs=1)
+    for n_jobs in (2, 3):
+        assert threshold_sweep(*args, n_jobs=n_jobs) == serial
+
+
+def _fail_on_task_2(job, task):
+    if task == 2:
+        raise EpidemicError(f"{job}: task {task} failed")
+    return task
+
+
+def test_one_pool_per_command_and_no_worker_left(monkeypatch):
+    started = []
+
+    class CountingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            started.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    def pools(call, *args, **kwargs):
+        started.clear()
+        try:
+            call(*args, **kwargs)
+        finally:
+            assert multiprocessing.active_children() == []
+        return started[:]
+
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
+    sweep = (ring(10), {0}, p)
+    assert pools(threshold_sweep, *sweep, [0.1, 0.2, 0.3], n_runs=3, max_ticks=20,
+                 n_jobs=2) == [2]
+    assert pools(threshold_sweep, *sweep, [0.1, 0.2, 0.3], n_runs=3, max_ticks=20,
+                 n_jobs=5) == [2]
+    assert pools(threshold_sweep, *sweep, [0.2], n_runs=3, max_ticks=20, n_jobs=2) == []
+    assert pools(monte_carlo, *sweep, 20, n_runs=1, n_jobs=2) == []
+    assert pools(monte_carlo, *sweep, 20, n_runs=4, n_jobs=2) == [2]
+    # the caller raises inside the pool's block, then a worker raises
+    with pytest.raises(EpidemicError, match="stop must be"):
+        pools(monte_carlo, *sweep, 20, "never", n_runs=4, n_jobs=2)
+
+    def drain():
+        with map_tasks(_fail_on_task_2, "job", range(5), 2) as results:
+            return list(results)
+
+    with pytest.raises(EpidemicError, match="job: task 2 failed"):
+        pools(drain)
+    assert started == [2]
 
 
 # --- cascade oracles: full recomputation every round ---------------------------
@@ -893,11 +972,15 @@ def reference_load_edge_list(source, roles=None):
             token, sep, role = line.partition("=")
             if sep != "=":
                 raise _ref_err(lineno, f"expected 'id=role', got {line!r}")
+            if not token.strip():
+                raise _ref_err(lineno, f"empty node id, got {line!r}")
             role_lines.append((lineno, token.strip(), role.strip()))
         elif section == "controllers":
             token, sep, rest = line.partition(":")
             if sep != ":":
                 raise _ref_err(lineno, f"expected 'switch:ctrl,ctrl,...', got {line!r}")
+            if not token.strip():
+                raise _ref_err(lineno, f"empty node id, got {line!r}")
             if rest and not all(t.strip() for t in rest.split(",")):
                 raise _ref_err(lineno, f"empty controller item, got {line!r}")
             ctrls = [t.strip() for t in rest.split(",") if t.strip()]
@@ -1014,6 +1097,7 @@ PLANTS = (
     "duplicate controller", "non-controller preference", "non-switch preference",
     "new nodes in [controllers]", "bad edge line", "unknown section", "half a header",
     "bad role line", "bad controllers line", "bad count", "empty controller item",
+    "empty node id",
     # twice as likely: each needs a document that passes every earlier check
     "duplicate controller", "non-controller preference", "new nodes in [controllers]",
     "half a header", "bad count",
@@ -1131,6 +1215,13 @@ def edge_documents(draw):
         role_lines.insert(draw(st.integers(0, len(role_lines))), "0 controller")
     if "bad controllers line" in planted:
         pref_lines.insert(draw(st.integers(0, len(pref_lines))), "0;1")
+    if "empty node id" in planted:
+        # `:0,` has an empty item too; its id is the first error on the line
+        if draw(st.booleans()):
+            role_lines.insert(draw(st.integers(0, len(role_lines))), f"{pad()}={pad()}controller")
+        else:
+            rest = draw(st.sampled_from(("", tok(0), f"{tok(0)},")))
+            pref_lines.insert(draw(st.integers(0, len(pref_lines))), f"{pad()}:{pad()}{rest}")
     if "bad count" in planted:
         count_lines = [draw(st.sampled_from(("count=x", "count=0", "count=-1", "size=3", "count")))]
 

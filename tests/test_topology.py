@@ -355,6 +355,18 @@ def test_load_edge_list_rejects_an_empty_controller_item(line):
         load_edge_list(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("0 1\n[roles]\n=controller\n", "=controller"),
+    ("0 1\n[roles]\n1=controller\n[controllers]\n:1\n", ":1"),
+    # the id comes first on its line, before the empty item
+    ("0 1\n[roles]\n1=controller\n[controllers]\n :1,\n", ":1,"),
+])
+def test_load_edge_list_rejects_an_empty_node_id(text, line):
+    lineno = text.count("\n")
+    with pytest.raises(TopologyError, match=f"line {lineno}: empty node id, got '{line}'"):
+        load_edge_list(text)
+
+
 @pytest.mark.parametrize("text", [
     "10 11\n11 12\n[roles]\n11=edge_switch\n10=controller\n12=controller\n"
     "[controllers]\n11:10,12\n10:11\n",
