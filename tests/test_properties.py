@@ -31,7 +31,6 @@ and parsed every raw node token of the config a second time; rendering from
 the seed ids or the scenario the run resolved must give the same text.
 """
 
-import multiprocessing
 import multiprocessing.pool
 import random
 import tempfile
