@@ -24,7 +24,14 @@ u: u < tau goes to D, tau <= u < tau+delta1 goes to S.
 
 A tick therefore costs O(active nodes + their degree) in Python, where
 the active nodes are the I and D nodes; only the state tuple itself is
-copied whole, at C speed.
+copied whole, at C speed. `step` also carries the next (S, I, R, D)
+counts, tallied from the moves it made, so no caller recounts states.
+
+`run` and the Monte Carlo replicas share one tick loop. Only `run`
+builds the (tick, node, from, to) event log; `monte_carlo` calls it for
+replica 0 alone, whose trace callers write out. Replicas 1..n-1 keep the
+counts rows and the set of nodes they infected, so their memory is
+O(ticks) rows plus at most one id per node, never O(events).
 """
 
 from __future__ import annotations
@@ -53,9 +60,6 @@ _LEGAL = {
     "SIR": frozenset((S, I, R)),
     "SID": frozenset((S, I, D)),
 }
-
-# column of each state in a (tick, S, I, R, D) counts row
-_COLUMN = {S: 1, I: 2, R: 3, D: 4}
 
 
 class EpidemicError(ValueError):
@@ -106,17 +110,22 @@ class StateVector:
 
     A vector made by `step` or `initial_state` also carries the states
     it can hold (`_kinds`), its I/D node ids in ascending order
-    (`_active`) and, from `step`, the ids whose state that step changed
-    (`_changed`). A hand-built vector has none of these, so the next
-    `step` derives the active ids with one validating scan. Equality and
-    hashing see only states and tick.
+    (`_active`) and its (S, I, R, D) counts (`_counts`); one made by
+    `step` also carries the ids that step moved out of I or D (`_moved`)
+    and, in ascending order, the S ids it infected (`_caught`). A
+    hand-built vector has none of these, so the next `step` derives the
+    active ids with one validating scan and the counts with `counts()`.
+    Equality and hashing see only states and tick.
     """
 
     states: tuple[str, ...]
     tick: int = 0
     _kinds: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
     _active: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    _changed: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _counts: tuple[int, int, int, int] | None = field(default=None, init=False, repr=False,
+                                                      compare=False)
+    _moved: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _caught: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> tuple[int, int, int, int]:
         st = self.states
@@ -130,7 +139,8 @@ def initial_state(net: Network, seeds) -> StateVector:
         if not (0 <= v < net.node_count):
             raise EpidemicError(f"seed {v} is not a node id")
         states[v] = I
-    return _tracked(tuple(states), 0, frozenset((S, I)), seeds)
+    counts = (net.node_count - len(seeds), len(seeds), 0, 0)
+    return _tracked(tuple(states), 0, frozenset((S, I)), seeds, counts)
 
 
 def infection_probability(k: int, beta: float) -> float:
@@ -168,12 +178,13 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
         active = sv._active
     else:
         active = _active_ids(cur, model)
+    s, i, r, d = sv._counts if sv._counts is not None else sv.counts()
     nxt = list(cur)
     draw = rng.random
 
     # transition pass: every I/D node in id order, one draw each (none in SI)
     if model == "SID":
-        infected, moved = [], []
+        infected, down, cured, repaired = [], [], [], []
         tau, exit_s, gamma = p.tau, p.tau + p.delta1, p.gamma
         for v in active:
             if cur[v] == I:
@@ -181,13 +192,17 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
                 u = draw()
                 if u < tau:
                     nxt[v] = D
-                    moved.append(v)
+                    down.append(v)
                 elif u < exit_s:
                     nxt[v] = S
-                    moved.append(v)
+                    cured.append(v)
             elif draw() < gamma:
                 nxt[v] = S
-                moved.append(v)
+                repaired.append(v)
+        moved = down + cured + repaired
+        s += len(cured) + len(repaired)
+        i -= len(down) + len(cured)
+        d += len(down) - len(repaired)
     else:
         # only SID has D nodes, so every active node is infected
         infected = active
@@ -196,7 +211,11 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
         else:
             delta1 = p.delta1
             moved = [v for v in active if draw() < delta1]
-            to = S if model == "SIS" else R
+            i -= len(moved)
+            if model == "SIS":
+                to, s = S, s + len(moved)
+            else:
+                to, r = R, r + len(moved)
             for v in moved:
                 nxt[v] = to
     if moved:
@@ -212,15 +231,19 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
 
     if caught:
         active = sorted(active + caught)
-    return _tracked(tuple(nxt), sv.tick + 1, legal, active, sorted(moved + caught))
+        s -= len(caught)
+        i += len(caught)
+    return _tracked(tuple(nxt), sv.tick + 1, legal, active, (s, i, r, d), moved, caught)
 
 
-def _tracked(states, tick, kinds, active, changed=None) -> StateVector:
-    """A StateVector that carries its possible states, I/D ids and changed ids."""
+def _tracked(states, tick, kinds, active, counts, moved=None, caught=None) -> StateVector:
+    """A StateVector that carries its possible states, I/D ids, counts and changes."""
     sv = StateVector(states, tick)
     object.__setattr__(sv, "_kinds", kinds)
     object.__setattr__(sv, "_active", active)
-    object.__setattr__(sv, "_changed", changed)
+    object.__setattr__(sv, "_counts", counts)
+    object.__setattr__(sv, "_moved", moved)
+    object.__setattr__(sv, "_caught", caught)
     return sv
 
 
@@ -267,19 +290,42 @@ def run(
     (still capped by max_ticks); stop="fixed_ticks" always produces rows
     for ticks 0..max_ticks. Identical arguments give identical traces.
     """
-    seeds = set(seeds)
+    counts, events, final, _ = _simulate(net, seeds, p, max_ticks, stop, rng_seed, True)
+    return SimulationTrace(net.node_count, p.model, counts, events, final)
+
+
+def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) -> list[int]:
+    """The seed ids in ascending order, once the run arguments pass their checks."""
+    if n_runs < 1:
+        raise EpidemicError(f"n_runs must be >= 1, got {n_runs}")
+    seeds = sorted(set(seeds))
     if not seeds:
         raise EpidemicError("seeds must be nonempty")
     if max_ticks < 1:
         raise EpidemicError(f"max_ticks must be >= 1, got {max_ticks}")
     if stop not in ("absorb", "fixed_ticks"):
         raise EpidemicError(f"stop must be 'absorb' or 'fixed_ticks', got {stop!r}")
+    for v in seeds:
+        if not 0 <= v < net.node_count:
+            raise EpidemicError(f"seed {v} is not a node id")
+    return seeds
 
+
+def _simulate(net, seeds, p, max_ticks, stop, rng_seed, log):
+    """The tick loop of `run` (log=True) and `_replica` (log=False).
+
+    Returns the (tick, S, I, R, D) rows, the (tick, node, from, to) event
+    log or None, the final states and the number of distinct nodes ever
+    infected. The rows come from the counts `step` carries, so without
+    the log a run holds O(ticks) rows and a set of the nodes it infected.
+    """
+    seeds = _check_run(net, seeds, max_ticks, stop)
     sv = initial_state(net, seeds)
     rng = random.Random(rng_seed)
-    events = [(0, v, S, I) for v in sorted(seeds)]
-    row = [0, net.node_count - len(seeds), len(seeds), 0, 0]  # tick, S, I, R, D
-    counts = [tuple(row)]
+    events = [(0, v, S, I) for v in seeds] if log else None
+    ever = set(seeds)
+    row = (0, *sv._counts)
+    counts = [row]
 
     while sv.tick < max_ticks:
         if row[2] == 0 and row[4] == 0:  # no I, no D: nothing left to draw
@@ -288,16 +334,15 @@ def run(
             break
         prev = sv.states
         sv = step(net, sv, p, rng)
-        t = row[0] = sv.tick
-        cur = sv.states
-        for v in sv._changed:
-            a, b = prev[v], cur[v]
-            events.append((t, v, a, b))
-            row[_COLUMN[a]] -= 1
-            row[_COLUMN[b]] += 1
-        counts.append(tuple(row))
+        t = sv.tick
+        row = (t, *sv._counts)
+        counts.append(row)
+        ever.update(sv._caught)
+        if log:
+            cur = sv.states
+            events += [(t, v, prev[v], cur[v]) for v in sorted(sv._moved + sv._caught)]
 
-    return SimulationTrace(net.node_count, p.model, counts, events, sv.states)
+    return counts, events, sv.states, len(ever)
 
 
 def _mean(xs) -> float:
@@ -367,13 +412,16 @@ def monte_carlo(
     """Run n_runs independent replicas and aggregate their traces.
 
     Replica i always uses the seed derived from (base_seed, i). The caller
-    runs replica 0 and keeps its trace; the others run through `map_tasks`.
-    Replicas are folded into integer running sums, mins and maxs, which is
-    exact in any order, so the result is identical for every n_jobs.
-    Memory holds one trace per process and O(ticks + n_runs) numbers.
+    runs replica 0 through `run` and keeps its trace, the only one with an
+    event log; replicas 1..n_runs-1 run through `map_tasks` as `_replica`,
+    which returns only counts rows and an outbreak size. Replicas are
+    folded into integer running sums, mins and maxs, which is exact in any
+    order, so the result is identical for every n_jobs. Memory holds
+    replica 0's trace, O(ticks) rows per replica in flight and
+    O(ticks + n_runs) numbers. Every argument is checked before any
+    worker starts.
     """
-    if n_runs < 1:
-        raise EpidemicError(f"n_runs must be >= 1, got {n_runs}")
+    seeds = _check_run(net, seeds, max_ticks, stop, n_runs)
 
     n = net.node_count
     sums: list[list[int]] = []  # per tick: S, I, R, D summed over replicas
@@ -412,10 +460,15 @@ def monte_carlo(
 
 
 def _replica(job, i):
-    """Replica i of a batch as (counts rows, number of nodes ever infected)."""
+    """Replica i of a batch as (counts rows, number of nodes ever infected).
+
+    It builds no event log: the rows come from the counts `step` carries
+    and the outbreak size from the distinct ids it infected.
+    """
     net, seeds, p, max_ticks, stop, base_seed = job
-    tr = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
-    return tr.counts, len(tr.ever_infected)
+    counts, _, _, infected = _simulate(net, seeds, p, max_ticks, stop,
+                                       derive_seed(base_seed, i), False)
+    return counts, infected
 
 
 @contextlib.contextmanager

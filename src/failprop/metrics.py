@@ -5,7 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .cascades import CascadeTrace, _fmt
-from .epidemic import D, EpidemicParams, SimulationTrace, StateVector, map_tasks, monte_carlo
+from .epidemic import (
+    D,
+    EpidemicParams,
+    SimulationTrace,
+    StateVector,
+    _check_run,
+    map_tasks,
+    monte_carlo,
+)
 from .rng import derive_seed
 from .topology import Network, connected_components
 
@@ -122,6 +130,7 @@ def threshold_sweep(
     (base_seed, i), so the whole sweep is reproducible from one seed and
     independent of execution order. The caller runs point 0 and the others
     run through `map_tasks`, so the result is the same for every n_jobs.
+    Every argument is checked before any worker starts.
     """
     grid = tuple(float(b) for b in grid)
     if not grid:
@@ -130,7 +139,9 @@ def threshold_sweep(
         raise MetricsError("grid must be strictly increasing")
     if not 0.0 < epsilon < 1.0:
         raise MetricsError(f"epsilon must be in (0, 1), got {epsilon}")
-    job = (net, seeds, template, grid, n_runs, max_ticks, base_seed, stop)
+    seeds = _check_run(net, seeds, max_ticks, stop, n_runs)
+    points = [replace(template, beta=b) for b in grid]
+    job = (net, seeds, points, n_runs, max_ticks, base_seed, stop)
     with map_tasks(_point, job, range(1, len(grid)), n_jobs) as results:
         response, stderrs = zip(_point(job, 0), *results)
     return SweepResult(grid, response, stderrs, n_runs, epsilon)
@@ -138,7 +149,7 @@ def threshold_sweep(
 
 def _point(job, i):
     """Grid point i of a sweep as (mean outbreak, its standard error)."""
-    net, seeds, template, grid, n_runs, max_ticks, base_seed, stop = job
-    agg = monte_carlo(net, seeds, replace(template, beta=grid[i]), max_ticks, stop,
+    net, seeds, points, n_runs, max_ticks, base_seed, stop = job
+    agg = monte_carlo(net, seeds, points[i], max_ticks, stop,
                       n_runs=n_runs, base_seed=derive_seed(base_seed, i))
     return agg.mean_outbreak, agg.stderr_outbreak

@@ -39,6 +39,7 @@ resolve stage.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -444,8 +445,27 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Network:
         raise GeneratorParamError("erdos_renyi needs n >= 2")
     if not 0.0 <= p <= 1.0:
         raise GeneratorParamError("erdos_renyi needs 0 <= p <= 1")
+    if p == 0.0:
+        return Network.from_edges(n, [])
+    if p == 1.0:
+        return Network.from_edges(n, [(u, v) for v in range(n) for u in range(v)])
+    # geometric skipping (Batagelj & Brandes, PRE 71, 2005): walk the pairs
+    # (u, v), u < v, in order of v then u, jumping over a geometric number
+    # of absent pairs per draw, so the cost is O(n + m), not O(n^2)
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    log_q = math.log1p(-p)
+    pairs = []
+    u, v = -1, 1
+    while v < n:
+        skip = math.log1p(-rng.random()) / log_q
+        if skip >= n * n:  # past every pair left; also inf for a subnormal p
+            break
+        u += 1 + int(skip)
+        while u >= v and v < n:
+            u -= v
+            v += 1
+        if v < n:
+            pairs.append((u, v))
     return Network.from_edges(n, pairs)
 
 

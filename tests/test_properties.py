@@ -349,6 +349,49 @@ def test_population_is_conserved_and_states_stay_in_the_model(case, seed):
     assert seen <= _LEGAL[p.model]
 
 
+# --- counts-only replicas ------------------------------------------------------
+
+@pytest.mark.parametrize("stop", ("absorb", "fixed_ticks"))
+@pytest.mark.parametrize("model", MODELS)
+@settings(deadline=None)
+@given(data=st.data(), base_seed=st.integers(0, 2**32), i=st.integers(0, 5))
+def test_counts_only_replica_matches_run(model, stop, data, base_seed, i):
+    # SIS and SID re-infect nodes, so the outbreak size must count distinct ids
+    net = data.draw(networks())
+    p = data.draw(params(models=(model,)))
+    seeds = data.draw(st.sets(st.integers(0, net.node_count - 1), min_size=1))
+    max_ticks = data.draw(st.integers(1, 25))
+    tr = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
+    job = (net, seeds, p, max_ticks, stop, base_seed)
+    assert failprop.epidemic._replica(job, i) == (tr.counts, len(tr.ever_infected))
+
+
+@settings(deadline=None)
+@given(st.data(), networks(), st.lists(params(), min_size=1, max_size=4),
+       st.integers(0, 2**32))
+def test_step_carries_the_counts_of_its_states(data, net, ps, seed):
+    # a tracked start or a hand-built one, a possibly different model for each
+    # stretch of ticks, and the carried counts dropped at random ticks so the
+    # next step must count a hand-built vector itself
+    n = net.node_count
+    if data.draw(st.booleans()):
+        sv = initial_state(net, data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        assert sv._counts == sv.counts()
+    else:
+        sv = StateVector(tuple(data.draw(states_for(n, ps[0].model))), data.draw(st.integers(0, 9)))
+    rng = random.Random(seed)
+    for p in ps:
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                sv = StateVector(sv.states, sv.tick)
+            try:
+                sv = step(net, sv, p, rng)
+            except EpidemicError:  # a state the new model does not have
+                assert not set(sv.states) <= _LEGAL[p.model]
+                return
+            assert sv._counts == sv.counts()
+
+
 # --- Monte Carlo in worker processes -------------------------------------------
 
 # every example with n_runs > 1 starts a pool, about 20-40 ms, so examples are few
@@ -469,6 +512,62 @@ def test_one_pool_per_command_and_no_worker_left(monkeypatch):
     with pytest.raises(EpidemicError, match="job: task 2 failed"):
         pools(drain)
     assert started == [2]
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The size of every worker pool started while the test runs."""
+    started = []
+
+    class SpyPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            started.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SpyPool)
+    return started
+
+
+@pytest.mark.parametrize("call, bad", [
+    (monte_carlo, {"max_ticks": 0}),
+    (monte_carlo, {"stop": "bogus"}),
+    (monte_carlo, {"seeds": set()}),
+    (monte_carlo, {"seeds": {3, 12, 10}}),
+    (monte_carlo, {"n_runs": 0}),
+    (threshold_sweep, {"n_runs": 0}),
+    (threshold_sweep, {"stop": "x"}),
+    (threshold_sweep, {"max_ticks": 0}),
+    (threshold_sweep, {"seeds": {-1, 0}}),
+    (threshold_sweep, {"grid": [0.1, 1.5]}),
+])
+def test_bad_arguments_raise_before_any_pool_starts(pool_starts, call, bad):
+    args = {"net": ring(10), "seeds": {0}, "max_ticks": 20, "stop": "absorb", "n_runs": 3}
+    if call is monte_carlo:
+        args["p"] = EpidemicParams("SIS", beta=0.4, delta1=0.3)
+    else:
+        args.update(template=EpidemicParams("SIS", beta=0.4, delta1=0.3), grid=[0.1, 0.2, 0.3])
+    args.update(bad)
+    messages = []
+    for n_jobs in (1, 2):
+        with pytest.raises(ValueError) as exc:
+            call(**args, n_jobs=n_jobs)
+        messages.append(str(exc.value))
+    assert pool_starts == []
+    assert messages[0] == messages[1]
+
+
+def test_caller_failure_inside_the_pool_block_leaves_no_worker(pool_starts, monkeypatch):
+    # arguments are checked before the pool starts, so make replica 0 fail
+    # in the caller while the workers run replicas 1..3
+    def failing_run(*args):
+        raise EpidemicError("replica 0 failed")
+
+    monkeypatch.setattr(failprop.epidemic, "run", failing_run)
+    p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
+    with pytest.raises(EpidemicError, match="replica 0 failed"):
+        monte_carlo(ring(10), {0}, p, 20, n_runs=4, n_jobs=2)
+    assert pool_starts == [2]
+    assert multiprocessing.active_children() == []
 
 
 # --- cascade oracles: full recomputation every round ---------------------------

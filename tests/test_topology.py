@@ -48,6 +48,27 @@ def test_er_extremes():
     assert erdos_renyi(10, 1.0).edge_count() == 45
 
 
+def test_er_edge_count_is_binomial():
+    # seed and bound fixed before the first run: the edge count is
+    # Binomial(1,999,000, 0.002), mean 3,998 and sd 63.2, checked to 5 sd
+    net = erdos_renyi(2000, 0.002, seed=11)
+    assert abs(net.edge_count() - 3998) <= 5 * 63.2
+
+
+def test_er_each_pair_is_an_edge_with_probability_p():
+    # over seeds 0..1999 each of the 10 pairs of 5 nodes is an edge
+    # Binomial(2000, 0.3) times: mean 600, sd 20.5, checked to 5 sd
+    hits = dict.fromkeys(((u, v) for u in range(5) for v in range(u + 1, 5)), 0)
+    for seed in range(2000):
+        for e in erdos_renyi(5, 0.3, seed=seed).edges:
+            hits[e] += 1
+    assert all(abs(k - 600) <= 5 * 20.5 for k in hits.values())
+
+
+def test_er_subnormal_p_gives_no_edges():
+    assert erdos_renyi(10, 5e-324).edge_count() == 0
+
+
 def test_er_deterministic_per_seed():
     a = erdos_renyi(20, 0.3, seed=5)
     b = erdos_renyi(20, 0.3, seed=5)
