@@ -28,15 +28,25 @@ because a round only ever removes nodes (or controllers):
   shrunk; an unreachable destination stays unreachable. Loads are still
   summed afresh in flow order, so every float is the same.
 * A switch keeps its controller unless that controller has failed: its
-  earlier preferences were already down and stay down.
+  earlier preferences were already down and stay down. So a live
+  controller only gains switches, and only one that gained is summed
+  again, from 0.0 left to right over its switches' rates in switch order:
+  the additions of one pass over every switch, so every float is the
+  same. Adding the gained rates onto the old sum (float addition is not
+  associative) or calling `sum()` (compensated from Python 3.12) would
+  not be.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, compress, filterfalse, repeat
 from math import isfinite
+from operator import add
 from typing import NamedTuple
 
 from .topology import CONTROLLER, EDGE_SWITCH, SWITCH_ROLES, Network
@@ -127,24 +137,23 @@ class HorizontalScenario:
 
 def validate_vertical(net: Network, sc: VerticalScenario) -> list[str]:
     """Raise on a scenario that cannot run; return warnings otherwise."""
-    ctrls = set(net.controllers())
+    ctrls, switches = net.controllers(), net.switches()
     if not ctrls:
         raise ScenarioError("network has no controller nodes")
-    for c in sc.controller_capacity:
-        if not (0 <= c < net.node_count) or net.roles[c] != CONTROLLER:
-            raise ScenarioError(f"capacity key {c} is not a controller")
-    for sw in sc.base_rate:
-        if not (0 <= sw < net.node_count) or net.roles[sw] not in SWITCH_ROLES:
-            raise ScenarioError(f"rate key {sw} is not a switch")
-    warnings = []
+    if not sc.controller_capacity.keys() <= set(ctrls):
+        for c in sc.controller_capacity:
+            if not (0 <= c < net.node_count) or net.roles[c] != CONTROLLER:
+                raise ScenarioError(f"capacity key {c} is not a controller")
+    if not sc.base_rate.keys() <= set(switches):
+        for sw in sc.base_rate:
+            if not (0 <= sw < net.node_count) or net.roles[sw] not in SWITCH_ROLES:
+                raise ScenarioError(f"rate key {sw} is not a switch")
     if sc.attack is not None:
         target = sc.attack[0]
         if not (0 <= target < net.node_count) or net.roles[target] not in SWITCH_ROLES:
             raise ScenarioError(f"attack target {target} is not a switch")
-    for sw in net.switches():
-        if not net.controller_prefs.get(sw):
-            warnings.append(f"switch {sw} has no controller preference list")
-    return warnings
+    return [f"switch {sw} has no controller preference list"
+            for sw in filterfalse(net.controller_prefs.get, switches)]
 
 
 def validate_horizontal(net: Network, sc: HorizontalScenario) -> list[str]:
@@ -189,17 +198,16 @@ def assign_switches(net: Network, failed_controllers: set[int],
     given it, only switches whose controller has since failed are
     reassigned, which yields the same map (in the same switch order).
     """
+    down = failed_controllers.__contains__
     if prev is None:
         out: dict[int, int | None] = {}
         stale = net.switches()
     else:
         out = dict(prev)
-        stale = [sw for sw, c in prev.items() if c in failed_controllers]
+        stale = compress(prev, map(down, prev.values()))
+    prefs = net.controller_prefs
     for sw in stale:
-        out[sw] = next(
-            (c for c in net.controller_prefs.get(sw, ()) if c not in failed_controllers),
-            None,
-        )
+        out[sw] = next(filterfalse(down, prefs.get(sw, ())), None)
     return out
 
 
@@ -229,21 +237,42 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
     fails all controllers strictly over capacity at once. The loop always
     ends with one quiet round and never needs more than
     controller_count + 1 rounds total.
+
+    A live controller only gains switches, so each one's switches and
+    rates are kept in switch order, a gained switch inserted in place, and
+    only a controller that gained is summed again, with
+    `reduce(add, rates, 0.0)`: the left-to-right additions of one pass
+    over all switches, so each load is bit for bit a full recount's.
+    Adding gained rates onto the old sum would reorder the additions, and
+    `sum()` uses compensated summation from Python 3.12 on.
     """
     warnings = validate_vertical(net, sc)
-    rate = {sw: sc.base_rate.get(sw, 0.0) for sw in net.switches()}
+    switches = net.switches()
+    rate = {sw: sc.base_rate.get(sw, 0.0) for sw in switches}
     if sc.attack is not None:
         rate[sc.attack[0]] += sc.attack[1]
     controllers = net.controllers()
     failed: set[int] = set()
     rounds: list[VerticalRound] = []
+    # per controller: its switches in switch order, and their rates
+    held: dict[int, tuple[list[int], list[float]]] = {c: ([], []) for c in controllers}
+    total: dict[int, float] = dict.fromkeys(controllers, 0.0)
+    moved = switches  # the switches that pick a controller this round
     assignment = None
     while True:
         assignment = assign_switches(net, failed, assignment)
-        loads = {c: 0.0 for c in controllers if c not in failed}
-        for sw, c in assignment.items():
+        gained = set()
+        for sw in moved:
+            c = assignment[sw]
             if c is not None:
-                loads[c] += rate[sw]
+                ids, rates = held[c]
+                i = bisect(ids, sw)
+                ids.insert(i, sw)
+                rates.insert(i, rate[sw])
+                gained.add(c)
+        for c in gained:
+            total[c] = reduce(add, held[c][1], 0.0)
+        loads = {c: total[c] for c in controllers if c not in failed}
         now = frozenset(
             c for c, load in loads.items()
             if load > sc.controller_capacity.get(c, INF)
@@ -252,6 +281,7 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
         if not now:
             break
         failed |= now
+        moved = chain.from_iterable(held.pop(c)[0] for c in now)
     assert len(rounds) <= len(controllers) + 1
     last = rounds[-1]
     terminal = VerticalTerminal(
@@ -467,6 +497,8 @@ class CascadeTrace:
         return "\n".join(lines) + "\n"
 
     def terminal_json(self) -> str:
+        """The fixed point as `json.dumps(payload, sort_keys=True, indent=2)`
+        writes it, plus a newline; see `_json_value`."""
         t = self.terminal
         if self.kind == "vertical":
             payload = {
@@ -487,4 +519,21 @@ class CascadeTrace:
             }
         if self.warnings:
             payload["warnings"] = list(self.warnings)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        body = ",\n".join(f"  {json.dumps(k)}: {_json_value(payload[k])}" for k in sorted(payload))
+        return f"{{\n{body}\n}}\n"
+
+
+_FLAT_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+
+
+def _json_value(value) -> str:
+    """`value` as `json.dumps(..., sort_keys=True, indent=2)` writes it under
+    a top-level key. That encoder is pure Python; for a nonempty flat map
+    or list, the C encoder writes the items with the indented separators,
+    and only the breaks inside the brackets are added."""
+    if value and isinstance(value, (dict, list)):
+        items = value.values() if isinstance(value, dict) else value
+        if not any(map(isinstance, items, repeat((dict, list, tuple)))):
+            text = _FLAT_JSON.encode(value)
+            return f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")

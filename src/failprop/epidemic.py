@@ -432,6 +432,7 @@ def monte_carlo(
     end_sum, end_min, end_max = [0] * 4, [n] * 4, [0] * 4
     outbreak_sizes = []
 
+    net.adj  # built here, before any worker forks, so the workers share it
     job = (net, seeds, p, max_ticks, stop, base_seed)
     with map_tasks(_replica, job, range(1, n_runs), n_jobs) as results:
         replica0 = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, 0))

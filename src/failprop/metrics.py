@@ -141,6 +141,7 @@ def threshold_sweep(
         raise MetricsError(f"epsilon must be in (0, 1), got {epsilon}")
     seeds = _check_run(net, seeds, max_ticks, stop, n_runs)
     points = [replace(template, beta=b) for b in grid]
+    net.adj  # built here, before any worker forks, so the workers share it
     job = (net, seeds, points, n_runs, max_ticks, base_seed, stop)
     with map_tasks(_point, job, range(1, len(grid)), n_jobs) as results:
         response, stderrs = zip(_point(job, 0), *results)

@@ -39,10 +39,12 @@ resolve stage.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, repeat, starmap
 from operator import eq, itemgetter, methodcaller
 from typing import Iterable
@@ -70,7 +72,10 @@ class Network:
 
     edges holds normalized (u, v) pairs with u < v; controller_prefs maps a
     switch id to its ordered failover list of controller ids; adj holds the
-    sorted neighbor list of each node id.
+    sorted neighbor list of each node id. Edges are checked when the
+    Network is made, but adj is built on first read (the vertical cascade
+    never reads it) and kept; it depends on edges alone, so building it
+    twice, in two processes say, gives the same tuples.
     """
 
     node_count: int
@@ -78,7 +83,6 @@ class Network:
     edges: frozenset[tuple[int, int]]
     controller_prefs: dict[int, tuple[int, ...]] = field(default_factory=dict)
     aliases: dict[str, int] | None = field(default=None, compare=False)
-    adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
@@ -90,15 +94,12 @@ class Network:
             for v, role in enumerate(self.roles):
                 if role not in ROLES:
                     raise TopologyError(f"node {v}: unknown role {role!r}")
-        adj: list[list[int]] = [[] for _ in range(n)]
         for e in self.edges:
             u, v = e
             if u == v:
                 raise TopologyError(f"self-loop at node {u}")
             if not (0 <= u < v < n):
                 raise TopologyError(f"edge {e} out of range or not normalized")
-            adj[u].append(v)
-            adj[v].append(u)
         if self.controller_prefs:
             switches, controllers = set(self.switches()), set(self.controllers())
             for sw, prefs in self.controller_prefs.items():
@@ -117,9 +118,24 @@ class Network:
                     raise TopologyError(
                         f"controller_prefs: node {c} has role {self.roles[c]}, not controller"
                     )
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        adj: list[list[int]] = [[] for _ in range(self.node_count)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         for a in adj:
             a.sort()
-        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def _controllers(self) -> tuple[int, ...]:
+        return tuple(v for v, r in enumerate(self.roles) if r == CONTROLLER)
+
+    @cached_property
+    def _switches(self) -> tuple[int, ...]:
+        return tuple(v for v, r in enumerate(self.roles) if r in SWITCH_ROLES)
 
     @classmethod
     def from_edges(
@@ -159,10 +175,10 @@ class Network:
         return set(self.adj[v])
 
     def controllers(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r == CONTROLLER)
+        return self._controllers
 
     def switches(self) -> tuple[int, ...]:
-        return tuple(v for v, r in enumerate(self.roles) if r in SWITCH_ROLES)
+        return self._switches
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -397,8 +413,17 @@ def load_edge_list(text: str, roles: dict | None = None) -> Network:
     The tokens die when `_resolve` returns, before the Network is built.
     Valid input is checked in bulk; a line-by-line loop runs only when a
     bulk check fails, to raise the message that names the first bad line.
+    The stages build no reference cycles, only enough containers to set
+    off the cyclic garbage collector many times, so it is paused while
+    they run and its earlier state is put back on return or on error.
     """
-    return Network.from_edges(*_resolve(*_scan(text), roles))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return Network.from_edges(*_resolve(*_scan(text), roles))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def serialize_edge_list(net: Network) -> str:

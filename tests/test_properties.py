@@ -26,11 +26,16 @@ than only against an earlier BFS; serial `monte_carlo` is the oracle for
 replicas run in worker processes, and serial `threshold_sweep` for grid
 points run in worker processes.
 
+`reference_terminal_json` copies `CascadeTrace.terminal_json` from when the
+pure-Python indented JSON encoder wrote the whole summary; the summary the C
+encoder writes must have the same bytes.
+
 `reference_render_resolved` copies `render_resolved` from when it resolved
 and parsed every raw node token of the config a second time; rendering from
 the seed ids or the scenario the run resolved must give the same text.
 """
 
+import json
 import multiprocessing.pool
 import random
 import tempfile
@@ -70,6 +75,7 @@ from failprop.config import (
     build_horizontal_scenario,
     build_network,
     build_vertical_scenario,
+    load_config,
     parse_config,
     render_resolved,
     resolve_node,
@@ -960,6 +966,124 @@ def test_vertical_failed_set_is_monotone_in_switch_rates(data, case):
     low = run_vertical(net, sc).terminal.failed_controllers
     high = run_vertical(net, higher).terminal.failed_controllers
     assert low <= high
+
+
+def test_vertical_run_with_2000_switches_matches_the_oracle_bit_for_bit():
+    # The drawn cases have at most 8 switches, and the benchmark's rates
+    # are integers, whose sums are exact in any order. Here each of 32
+    # controllers holds dozens of switches with rates like 1.377, which no
+    # binary float holds exactly, so a load summed in another order than
+    # switch order differs in its last bits.
+    rng = random.Random(2000)
+    n_ctrl, n_sw = 32, 2000
+    ctrls = list(range(n_ctrl))
+    switches = range(n_ctrl, n_ctrl + n_sw)
+    roles = {**dict.fromkeys(ctrls, CONTROLLER), **dict.fromkeys(switches, EDGE_SWITCH)}
+    prefs = {sw: rng.sample(ctrls, 6) for sw in switches}
+    net = Network.from_edges(n_ctrl + n_sw, [(prefs[sw][0], sw) for sw in switches],
+                             roles, prefs)
+    rates = {sw: round(rng.uniform(0.1, 3.0), 3) for sw in switches}
+    primary = dict.fromkeys(ctrls, 0.0)
+    for sw in switches:
+        primary[prefs[sw][0]] += rates[sw]
+    mean = sum(primary.values()) / n_ctrl
+    # the attacked switch overloads each of its 6 controllers in turn; the
+    # others absorb their switches
+    caps = {c: round(mean * rng.uniform(1.5, 2.0), 3) for c in ctrls}
+    sc = VerticalScenario(caps, rates, (rng.choice(switches), 2.5 * mean))
+    got, expected = run_vertical(net, sc), reference_run_vertical(net, sc)
+    assert len(expected.rounds) >= 4
+    assert 0 < len(expected.terminal.failed_controllers) < n_ctrl
+    check_same_trace(got, expected)
+    for a, b in zip(got.rounds, expected.rounds):
+        assert list(a.assignment.items()) == list(b.assignment.items())
+
+
+def reference_terminal_json(trace):
+    """CascadeTrace.terminal_json as it was: the pure-Python indented encoder."""
+    t = trace.terminal
+    if trace.kind == "vertical":
+        payload = {
+            "kind": "vertical",
+            "rounds": t.rounds,
+            "failed_controllers": sorted(t.failed_controllers),
+            "orphaned_switches": sorted(t.orphaned_switches),
+            "assignment": {str(sw): c for sw, c in t.assignment.items()},
+            "loads": {str(c): load for c, load in t.loads.items()},
+        }
+    else:
+        payload = {
+            "kind": "horizontal",
+            "rounds": t.rounds,
+            "failed_nodes": sorted(t.failed_nodes),
+            "dropped": [list(d) for d in t.dropped],
+            "loads": {str(v): load for v, load in t.loads.items()},
+        }
+    if trace.warnings:
+        payload["warnings"] = list(trace.warnings)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# floats whose text shows an encoder's choices: exponents, signed zero, inf
+json_floats = st.one_of(st.sampled_from((0.0, -0.0, 1e16, 1.5e-7, 1e-300, INF, 2.5)),
+                        st.floats(allow_nan=False))
+node_ids = st.integers(0, 10**6)
+
+
+@st.composite
+def drawn_terminals(draw):
+    """Terminals an engine may never produce: any ids, loads and warnings."""
+    ids = st.sets(node_ids, max_size=6)
+    loads = draw(st.dictionaries(node_ids, json_floats, max_size=8))
+    warnings = tuple(draw(st.lists(st.text(max_size=12), max_size=3)))
+    if draw(st.booleans()):
+        assignment = draw(st.dictionaries(node_ids, st.one_of(st.none(), node_ids), max_size=8))
+        t = VerticalTerminal(frozenset(draw(ids)), frozenset(draw(ids)), assignment, loads,
+                             draw(st.integers(1, 99)))
+        return CascadeTrace("vertical", ring(3), None, (), t, warnings)
+    flow = st.tuples(st.sampled_from(("demand", "injection")), node_ids, node_ids, json_floats)
+    t = HorizontalTerminal(frozenset(draw(ids)), loads,
+                           tuple(draw(st.lists(flow, max_size=3))), draw(st.integers(1, 99)))
+    return CascadeTrace("horizontal", ring(3), None, (), t, warnings)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(drawn_terminals(),
+                 vertical_cases().map(lambda case: run_vertical(*case)),
+                 horizontal_cases().map(lambda case: run_horizontal(*case))))
+def test_terminal_json_matches_the_indented_encoder(trace):
+    assert trace.terminal_json() == reference_terminal_json(trace)
+
+
+def test_vertical_path_never_builds_the_adjacency():
+    # the vertical engine reads roles and preference lists only
+    cfg = load_config("fig5a-vertical")
+    net = build_network(cfg)
+    sc = build_vertical_scenario(cfg, net)
+    trace = run_vertical(net, sc)
+    trace.csv()
+    trace.terminal_json()
+    render_resolved(cfg, scenario=sc, aliases=net.aliases)
+    assert trace.terminal.failed_controllers
+    assert "adj" not in vars(net)
+
+
+def test_pooled_runs_build_the_adjacency_before_the_pool_starts(monkeypatch):
+    # built in the caller, forked workers share it instead of each building it
+    seen = []
+
+    class CheckingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            seen.append("adj" in vars(net))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", CheckingPool)
+    p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
+    net = ring(10)
+    monte_carlo(net, {0}, p, 20, n_runs=4, n_jobs=2)
+    net = ring(10)
+    threshold_sweep(net, {0}, p, [0.1, 0.2], n_runs=2, max_ticks=20, n_jobs=2)
+    assert seen == [True, True]
 
 
 # --- edge-list parser against the line-by-line oracle ----------------------------

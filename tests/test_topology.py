@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -105,6 +106,44 @@ def test_network_rejects_bad_construction():
         Network.from_edges(3, [(0, 5)])
     with pytest.raises(TopologyError, match="role"):
         Network.from_edges(2, [(0, 1)], roles={0: "router"})
+
+
+@pytest.mark.parametrize("edges,msg", [
+    ({(0, 1), (2, 1)}, r"edge \(2, 1\) out of range or not normalized"),
+    ({(0, 1), (1, 1)}, "self-loop at node 1"),
+    ({(0, 3)}, r"edge \(0, 3\) out of range"),
+    ({(-1, 2)}, r"edge \(-1, 2\) out of range"),
+])
+def test_network_names_the_bad_edge(edges, msg):
+    # edges are checked when the Network is made, though adj is built later
+    with pytest.raises(TopologyError, match=msg):
+        Network(3, ("generic",) * 3, frozenset(edges))
+
+
+def test_adjacency_is_built_on_first_read_and_kept():
+    net = Network.from_edges(4, [(2, 0), (1, 0), (3, 2)])
+    assert "adj" not in vars(net)
+    assert net.adj == ((1, 2), (0,), (0, 3), (2,))
+    assert vars(net)["adj"] is net.adj
+    assert net.neighbors(2) == {0, 3}
+    # a Network without edges has an empty tuple per node, and equality
+    # does not look at the adjacency
+    assert Network(2, ("generic",) * 2, frozenset()).adj == ((), ())
+    assert net == Network.from_edges(4, [(0, 1), (0, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_edge_list_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_edge_list("0 1\n1 2\n").node_count == 3
+        assert gc.isenabled() is enabled
+        with pytest.raises(TopologyError, match="line 2:"):
+            load_edge_list("0 1\n1 2 3\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_controller_pref_validation():
