@@ -314,7 +314,21 @@ def resolve_seeds(cfg: ExperimentConfig, net: Network) -> tuple[int, ...]:
 
 def _node_values(net: Network, lines, name: str) -> dict[int, float]:
     """Per-node numbers of a [capacity] or [rate] section; two tokens that
-    name the same node (an alias and its id, say) are an error."""
+    name the same node (an alias and its id, say) are an error.
+
+    Without aliases every token goes through one `int` and one `float` map,
+    with range, finiteness and repeats checked in bulk; the line-by-line
+    loop runs only when one of those fails, to raise for the first bad line."""
+    if net.aliases is None and lines:
+        keys, values = zip(*lines)
+        try:
+            out = dict(zip(map(int, keys), map(float, values)))
+        except ValueError:
+            pass
+        else:
+            if (len(out) == len(lines) and min(out) >= 0 and max(out) < net.node_count
+                    and all(map(math.isfinite, out.values()))):
+                return out
     out: dict[int, float] = {}
     token_of: dict[int, str] = {}
     for k, v in lines:

@@ -22,10 +22,15 @@ is the same stream as a full id-ascending scan of every node, since the
 skipped nodes never drew. Competing I-exits in SID use a single uniform
 u: u < tau goes to D, tau <= u < tau+delta1 goes to S.
 
-A tick therefore costs O(active nodes + their degree) in Python, where
-the active nodes are the I and D nodes; only the state tuple itself is
-copied whole, at C speed. `step` also carries the next (S, I, R, D)
-counts, tallied from the moves it made, so no caller recounts states.
+A tick is two passes. The transition pass visits the active (I and D)
+nodes once, moving each and building the next tick's active list as it
+goes; the infection pass visits the S neighbors of the I nodes. Each
+pass pairs its nodes with draws made in C (`_with_draws`), exactly one
+per node in id order, and 1 - (1 - beta)**k is computed once per
+distinct k in the tick. A tick therefore costs O(active nodes + their
+degree) in Python; only the state tuple itself is copied whole, at C
+speed. `step` also carries the next (S, I, R, D) counts, tallied from
+the moves it made, so no caller recounts states.
 
 `run` and the Monte Carlo replicas share one tick loop. Only `run`
 builds the (tick, node, from, to) event log; `monte_carlo` calls it for
@@ -41,7 +46,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat, starmap
 
 from .rng import derive_seed
 from .topology import Network
@@ -180,25 +185,28 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
         active = _active_ids(cur, model)
     s, i, r, d = sv._counts if sv._counts is not None else sv.counts()
     nxt = list(cur)
-    draw = rng.random
 
-    # transition pass: every I/D node in id order, one draw each (none in SI)
+    # transition pass: every I/D node in id order, one draw each (none in
+    # SI); the nodes that stay I or D form the next active list as it goes
     if model == "SID":
-        infected, down, cured, repaired = [], [], [], []
+        infected, kept, down, cured, repaired = [], [], [], [], []
         tau, exit_s, gamma = p.tau, p.tau + p.delta1, p.gamma
-        for v in active:
+        for v, u in _with_draws(active, rng):
             if cur[v] == I:
                 infected.append(v)
-                u = draw()
                 if u < tau:
                     nxt[v] = D
                     down.append(v)
                 elif u < exit_s:
                     nxt[v] = S
                     cured.append(v)
-            elif draw() < gamma:
+                    continue
+            elif u < gamma:
                 nxt[v] = S
                 repaired.append(v)
+                continue
+            kept.append(v)
+        active = kept
         moved = down + cured + repaired
         s += len(cured) + len(repaired)
         i -= len(down) + len(cured)
@@ -206,11 +214,16 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
     else:
         # only SID has D nodes, so every active node is infected
         infected = active
-        if model == "SI":
-            moved = []
-        else:
+        moved = []
+        if model != "SI":
+            kept = []
             delta1 = p.delta1
-            moved = [v for v in active if draw() < delta1]
+            for v, u in _with_draws(active, rng):
+                if u < delta1:
+                    moved.append(v)
+                else:
+                    kept.append(v)
+            active = kept
             i -= len(moved)
             if model == "SIS":
                 to, s = S, s + len(moved)
@@ -218,14 +231,14 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
                 to, r = R, r + len(moved)
             for v in moved:
                 nxt[v] = to
-    if moved:
-        active = [v for v in active if nxt[v] == I or nxt[v] == D]
 
-    # infection pass: every S neighbor of an I node in id order, one draw each
+    # infection pass: every S neighbor of an I node in id order, one draw
+    # each, against 1 - (1 - beta)**k computed once per distinct count k
     adj = net.adj
     pressure = Counter([u for v in infected for u in adj[v] if cur[u] == S])
     comp = 1.0 - p.beta
-    caught = [v for v in sorted(pressure) if draw() < 1.0 - comp ** pressure[v]]
+    hit = {k: 1.0 - comp ** k for k in set(pressure.values())}
+    caught = [v for v, u in _with_draws(sorted(pressure), rng) if u < hit[pressure[v]]]
     for v in caught:
         nxt[v] = I
 
@@ -234,6 +247,11 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
         s -= len(caught)
         i += len(caught)
     return _tracked(tuple(nxt), sv.tick + 1, legal, active, (s, i, r, d), moved, caught)
+
+
+def _with_draws(nodes: list[int], rng: random.Random):
+    """(v, u) for each v in nodes with its draw u; exactly len(nodes) draws, in order."""
+    return zip(nodes, starmap(rng.random, repeat((), len(nodes))))
 
 
 def _tracked(states, tick, kinds, active, counts, moved=None, caught=None) -> StateVector:

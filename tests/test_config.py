@@ -381,3 +381,32 @@ def test_read_topology_names_an_unreadable_file(tmp_path):
         read_topology(path)
     path.write_text("0 1\n")
     assert read_topology(str(path)).edge_count() == 1
+
+
+@pytest.mark.parametrize("lines, msg", [
+    (("2=5", "1=x"), "capacity 1 must be a number, got 'x'"),
+    (("2=5", "6=1"), "capacity: node id 6 out of range"),
+    (("2=5", "-1=1"), "capacity: node id -1 out of range"),
+    (("2=5", "1=inf"), "capacity 1 must be finite, got 'inf'"),
+    (("2=5", "1=nan"), "capacity 1 must be finite, got 'nan'"),
+    (("2=5", "a=1"), "capacity: unknown node 'a'"),
+    (("2=5", "02=1"), "capacity: '2' and '02' name the same node 2"),
+    (("1=nan", "9=1"), "capacity 1 must be finite, got 'nan'"),
+    (("9=1", "1=nan"), "capacity: node id 9 out of range"),
+    (("1=x", "a=1"), "capacity 1 must be a number, got 'x'"),
+])
+def test_integer_node_values_report_the_first_bad_line(lines, msg):
+    text = ("[topology]\ngenerate=ring:6\n\n[scenario]\nkind=horizontal\n\n[capacity]\n"
+            + "\n".join(lines) + "\n")
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError) as err:
+        build_horizontal_scenario(cfg, build_network(cfg))
+    assert str(err.value) == msg
+
+
+def test_integer_node_values_read_every_spelling():
+    text = ("[topology]\ngenerate=ring:6\n\n[scenario]\nkind=horizontal\n\n"
+            "[capacity]\n5=1e3\n0=2\n03=.5\n")
+    cfg = parse_config(text)
+    capacity = build_horizontal_scenario(cfg, build_network(cfg)).node_capacity
+    assert capacity == {5: 1000.0, 0: 2.0, 3: 0.5}

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from failprop.epidemic import (
     step,
 )
 from failprop.rng import derive_seed
-from failprop.topology import Network, load_edge_list, ring
+from failprop.topology import Network, barabasi_albert, load_edge_list, ring
 
 DATA = Path(__file__).parent / "data"
 
@@ -158,6 +159,67 @@ def test_step_transition_draw_consumed_even_at_zero_rates():
     assert (out.states[1] == "I") == expected_infect
 
 
+class CountingRandom(random.Random):
+    """A Random that counts its random() calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+# states with an exit in each model; these draw once per tick
+_EXITS = {"SI": set(), "SIS": {"I"}, "SIR": {"I"}, "SID": {"I", "D"}}
+
+
+def _contract_draws(net, states, model):
+    """Draws the module contract assigns to one tick from `states`."""
+    exits = sum(st in _EXITS[model] for st in states)
+    exposed = sum(st == "S" and any(states[u] == "I" for u in net.adj[v])
+                  for v, st in enumerate(states))
+    return exits + exposed
+
+
+@pytest.mark.parametrize("p", [
+    EpidemicParams("SI", beta=0.0),
+    EpidemicParams("SI", beta=0.3),
+    EpidemicParams("SI", beta=1.0),
+    EpidemicParams("SIS", beta=0.0, delta1=0.0),
+    EpidemicParams("SIS", beta=0.3, delta1=0.2),
+    EpidemicParams("SIS", beta=1.0, delta1=1.0),
+    EpidemicParams("SIR", beta=0.0, delta1=0.0),
+    EpidemicParams("SIR", beta=0.3, delta1=0.2),
+    EpidemicParams("SIR", beta=1.0, delta1=1.0),
+    EpidemicParams("SID", beta=0.0, delta1=0.0, tau=0.0, gamma=0.0),
+    EpidemicParams("SID", beta=0.4, delta1=0.1, tau=0.2, gamma=0.05),
+    EpidemicParams("SID", beta=1.0, delta1=0.5, tau=0.5, gamma=1.0),
+], ids=repr)
+def test_step_draws_once_per_active_exit_and_exposed_node(p):
+    net = barabasi_albert(60, 2, seed=3)
+    sv = initial_state(net, {0, 17})
+    rng = CountingRandom(5)
+    for _ in range(15):
+        before, expect = rng.calls, _contract_draws(net, sv.states, p.model)
+        sv = step(net, sv, p, rng)
+        assert rng.calls - before == expect
+
+
+@pytest.mark.parametrize("states, p, draws", [
+    (("I", "I", "I"), EpidemicParams("SIS", beta=1.0, delta1=0.5), 3),
+    (("I", "I", "I"), EpidemicParams("SI", beta=1.0), 0),
+    (("I", "R", "S"), EpidemicParams("SIR", beta=1.0, delta1=0.5), 1),
+    (("D", "S", "D"), EpidemicParams("SID", beta=1.0, delta1=0.5, tau=0.5, gamma=0.0), 2),
+    (("S", "S", "S"), EpidemicParams("SID", beta=1.0, delta1=0.5, tau=0.5, gamma=1.0), 0),
+])
+def test_step_without_exposed_nodes_draws_only_for_exits(states, p, draws):
+    # path 0-1-2: no S node has an I neighbor
+    rng = CountingRandom(5)
+    out = step(path_net(3), StateVector(states, 0), p, rng)
+    assert rng.calls == draws
+    assert all(a == b or a != "S" for a, b in zip(states, out.states))
+
+
 def test_step_rejects_bad_input():
     net = path_net(3)
     p = EpidemicParams("SID", beta=0.5, delta1=0.1, tau=0.1, gamma=0.1)
@@ -256,6 +318,27 @@ def test_run_matches_golden_trace():
     tr = run(net, {0}, p, 200, stop="absorb", rng_seed=42)
     assert tr.counts_csv() == (DATA / "golden-sid-ring10-counts.csv").read_text()
     assert tr.events_csv() == (DATA / "golden-sid-ring10-events.csv").read_text()
+
+
+# Written by the step from before the single transition pass; SI, SIS and
+# SIR on one seeded BA graph, as a run's CSVs and a 4-replica batch.
+GOLDEN_BA60 = {
+    "si": EpidemicParams("SI", beta=0.08),
+    "sis": EpidemicParams("SIS", beta=0.15, delta1=0.3),
+    "sir": EpidemicParams("SIR", beta=0.25, delta1=0.2),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_BA60)
+def test_run_and_monte_carlo_match_golden_ba60(name):
+    net = barabasi_albert(60, 2, seed=3)
+    p = GOLDEN_BA60[name]
+    tr = run(net, {0, 17}, p, 40, stop="fixed_ticks", rng_seed=11)
+    assert tr.counts_csv() == (DATA / f"golden-{name}-ba60-counts.csv").read_text()
+    assert tr.events_csv() == (DATA / f"golden-{name}-ba60-events.csv").read_text()
+    agg = monte_carlo(net, {0, 17}, p, 40, stop="absorb", n_runs=4, base_seed=11)
+    mc = json.dumps(agg.as_dict(), indent=1) + "\n"
+    assert mc == (DATA / f"golden-{name}-ba60-mc.json").read_text()
 
 
 def test_trace_csv_shapes():
