@@ -1,18 +1,9 @@
 """Deterministic overload cascades on a two-plane network.
 
-Two engines share one trace shape:
-
-* run_vertical: switches send their request rate to the first live
-  controller in their preference list; any controller loaded strictly
-  above capacity fails; failover shifts the load and the round repeats
-  until nothing new fails. An optional attack adds rate to one switch.
-
-* run_horizontal: data-plane demands follow deterministic shortest
-  paths; any node loaded strictly above capacity fails; surviving nodes
-  reroute and the round repeats until quiet. An optional injection is
-  one more demand, meant to model hostile traffic entering at an edge
-  switch.
-
+Two engines share one trace shape: in `run_vertical` controllers fail
+under their switches' request rates and failover shifts the load, in
+`run_horizontal` nodes fail under the flows routed over them and the
+survivors reroute (README, "The cascade engines", gives both models).
 Both iterations are monotone (failed stays failed), so the outcome does
 not depend on evaluation order; the final recorded round is always the
 quiet one that confirmed the fixed point.
@@ -30,11 +21,8 @@ because a round only ever removes nodes (or controllers):
 * A switch keeps its controller unless that controller has failed: its
   earlier preferences were already down and stay down. So a live
   controller only gains switches, and only one that gained is summed
-  again, from 0.0 left to right over its switches' rates in switch order:
-  the additions of one pass over every switch, so every float is the
-  same. Adding the gained rates onto the old sum (float addition is not
-  associative) or calling `sum()` (compensated from Python 3.12) would
-  not be.
+  again, with the same float additions as a full recount (see
+  `run_vertical`).
 """
 
 from __future__ import annotations
@@ -110,7 +98,8 @@ class VerticalScenario:
 
 @dataclass(frozen=True)
 class HorizontalScenario:
-    """Node capacities, baseline demands, optional injected flow.
+    """Node capacities, baseline demands, optional injected flow (one more
+    demand, meant to model hostile traffic entering at an edge switch).
 
     Nodes absent from node_capacity are unbounded. misroute=True flips
     the routing tie-break to the lexicographically largest path, which
@@ -140,14 +129,10 @@ def validate_vertical(net: Network, sc: VerticalScenario) -> list[str]:
     ctrls, switches = net.controllers(), net.switches()
     if not ctrls:
         raise ScenarioError("network has no controller nodes")
-    if not sc.controller_capacity.keys() <= set(ctrls):
-        for c in sc.controller_capacity:
-            if not (0 <= c < net.node_count) or net.roles[c] != CONTROLLER:
-                raise ScenarioError(f"capacity key {c} is not a controller")
-    if not sc.base_rate.keys() <= set(switches):
-        for sw in sc.base_rate:
-            if not (0 <= sw < net.node_count) or net.roles[sw] not in SWITCH_ROLES:
-                raise ScenarioError(f"rate key {sw} is not a switch")
+    for c in filterfalse(set(ctrls).__contains__, sc.controller_capacity):
+        raise ScenarioError(f"capacity key {c} is not a controller")
+    for sw in filterfalse(set(switches).__contains__, sc.base_rate):
+        raise ScenarioError(f"rate key {sw} is not a switch")
     if sc.attack is not None:
         target = sc.attack[0]
         if not (0 <= target < net.node_count) or net.roles[target] not in SWITCH_ROLES:
@@ -236,15 +221,8 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
     effective request rates per live controller in switch order, and
     fails all controllers strictly over capacity at once. The loop always
     ends with one quiet round and never needs more than
-    controller_count + 1 rounds total.
-
-    A live controller only gains switches, so each one's switches and
-    rates are kept in switch order, a gained switch inserted in place, and
-    only a controller that gained is summed again, with
-    `reduce(add, rates, 0.0)`: the left-to-right additions of one pass
-    over all switches, so each load is bit for bit a full recount's.
-    Adding gained rates onto the old sum would reorder the additions, and
-    `sum()` uses compensated summation from Python 3.12 on.
+    controller_count + 1 rounds total. Only the controllers that gained a
+    switch are summed again (see the module docstring).
     """
     warnings = validate_vertical(net, sc)
     switches = net.switches()
@@ -270,6 +248,11 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
                 ids.insert(i, sw)
                 rates.insert(i, rate[sw])
                 gained.add(c)
+        # from 0.0, left to right over the rates in switch order: the
+        # additions of one pass over every switch, so each load is bit for
+        # bit a full recount's. Adding the gained rates onto the old sum
+        # would reorder the additions (a gained switch can sort before a
+        # held one), and `sum()` sums floats compensated from Python 3.12 on.
         for c in gained:
             total[c] = reduce(add, held[c][1], 0.0)
         loads = {c: total[c] for c in controllers if c not in failed}

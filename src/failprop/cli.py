@@ -7,9 +7,7 @@
     failprop validate graphs/ba.edges
 
 Every experiment writes its outputs plus a resolved-config.txt that can
-be fed straight back to --config to reproduce the run. Output directory
-precedence: --out, then the config's [output] dir, then $FAILPROP_OUT,
-then ./out.
+be fed straight back to --config to reproduce the run.
 
 Exit codes: 0 success, 2 bad config or parameters, 3 topology problems,
 4 unexpected runtime failure.
@@ -91,8 +89,8 @@ def _json_text(payload) -> str:
 
 
 def _effective(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.rng_seed = args.seed
+    if args.seed is not None:
+        cfg.rng_seed = cfgmod.as_seed(args.seed, "--seed")
     if getattr(args, "jobs", None) is not None:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -234,7 +232,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    net = generate_topology(args.kind, args.params, args.seed or 0)
+    net = generate_topology(args.kind, args.params, cfgmod.as_seed(args.seed, "--seed"))
     path = _out_dir(args, None)
     if not args.out or path.is_dir() or args.out.endswith(("/", os.sep)):
         path /= f"{args.kind}.edges"
@@ -270,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, jobs=False):
         p.add_argument("--config", required=True,
                        help="config file path or shipped preset name")
-        p.add_argument("--seed", type=int, help="override the config rng_seed")
+        p.add_argument("--seed", help="override the config rng_seed")
         p.add_argument("--out", help="output directory")
         if jobs:
             p.add_argument("--jobs", type=int,
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a topology edge-list file")
     p.add_argument("kind", help="ring | grid | er | ba")
     p.add_argument("params", nargs="*", type=float, help="generator parameters")
-    p.add_argument("--seed", type=int, help="generator seed")
+    p.add_argument("--seed", default="0", help="generator seed")
     p.add_argument("--out", help="output file, or directory for <kind>.edges")
     p.set_defaults(func=cmd_gen)
 

@@ -7,13 +7,10 @@ experiment: a topology source plus exactly one of an epidemic [model] or
 a cascade [scenario]. Node references in configs may use either integer
 ids or the name aliases of the topology file.
 
-Raw node tokens are resolved once, against the Network, by `resolve_seeds`
-and `build_*_scenario`. `render_resolved` writes the experiment back out
-in canonical form from the seed ids or the scenario the run used
-(defaults explicit, aliases replaced by ids, seed included), so a run
-directory always carries enough to reproduce itself. A token that reads
-both as an alias and as the id of another node is an error, so an id that
-another node's alias spells is written with leading zeros.
+`render_resolved` writes the experiment back out in canonical form from
+the seed ids or the scenario the run used (defaults explicit, aliases
+replaced by ids, seed included), so a run directory always carries
+enough to reproduce itself.
 """
 
 from __future__ import annotations
@@ -88,6 +85,16 @@ def _as_float(value: str, name: str) -> float:
     return x
 
 
+def as_seed(value: str, name: str) -> int:
+    """A root or generator seed: an integer in [0, 2**64). `rng.derive_seed`
+    masks a root seed to 64 bits and `random.Random` seeds from abs(), so
+    a seed outside that range would read as another one."""
+    x = _as_int(value, name)
+    if not 0 <= x < 2**64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {value!r}")
+    return x
+
+
 def _as_bool(value: str, name: str) -> bool:
     low = value.lower()
     if low in ("true", "yes", "1"):
@@ -106,6 +113,19 @@ def _as_list(value: str, sep: str, name: str) -> list[str]:
     if not all(items):
         raise ConfigError(f"{name} has an empty item, got {value!r}")
     return items
+
+
+def _triple(lineno: int, line: str, section: str, shape: str) -> tuple[str, str, str]:
+    """The three stripped comma-separated tokens of a [demand] or [injection] line."""
+    parts = tuple(t.strip() for t in line.split(","))
+    if len(parts) != 3:
+        raise ConfigError(f"line {lineno}: expected {shape} in [{section}]")
+    return parts
+
+
+# [run] key -> its reader; each key sets the ExperimentConfig field of its name
+_RUN = {"max_ticks": _as_int, "n_runs": _as_int, "rng_seed": as_seed,
+        "stop": lambda value, name: value, "epsilon": _as_float, "n_jobs": _as_int}
 
 
 @dataclass
@@ -146,8 +166,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
         kv = _kv(sections["topology"], "topology", ("file", "generate", "gen_seed"))
         cfg.topology_file = kv.get("file")
         cfg.topology_generate = kv.get("generate")
-        if "gen_seed" in kv:
-            cfg.gen_seed = _as_int(kv["gen_seed"], "gen_seed")
+        cfg.gen_seed = as_seed(kv.get("gen_seed", "0"), "gen_seed")
         if (cfg.topology_file is None) == (cfg.topology_generate is None):
             raise ConfigError("[topology] needs exactly one of file= or generate=")
 
@@ -173,20 +192,9 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
             raise ConfigError("[model] needs a nonempty seeds= list")
 
     if "run" in sections:
-        kv = _kv(sections["run"], "run",
-                 ("max_ticks", "n_runs", "rng_seed", "stop", "epsilon", "n_jobs"))
-        if "max_ticks" in kv:
-            cfg.max_ticks = _as_int(kv["max_ticks"], "max_ticks")
-        if "n_runs" in kv:
-            cfg.n_runs = _as_int(kv["n_runs"], "n_runs")
-        if "rng_seed" in kv:
-            cfg.rng_seed = _as_int(kv["rng_seed"], "rng_seed")
-        if "stop" in kv:
-            cfg.stop = kv["stop"]
-        if "epsilon" in kv:
-            cfg.epsilon = _as_float(kv["epsilon"], "epsilon")
-        if "n_jobs" in kv:
-            cfg.n_jobs = _as_int(kv["n_jobs"], "n_jobs")
+        # in file order, so the first bad line is the one reported
+        for key, value in _kv(sections["run"], "run", tuple(_RUN)).items():
+            setattr(cfg, key, _RUN[key](value, key))
     if cfg.max_ticks < 1:
         raise ConfigError(f"max_ticks must be >= 1, got {cfg.max_ticks}")
     if cfg.n_runs < 1:
@@ -231,21 +239,12 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
             raise ConfigError("[attack] takes exactly one switch=rate line")
         cfg.attack_line = next(iter(kv.items()))
     if "demand" in sections:
-        rows = []
-        for lineno, line in sections["demand"]:
-            parts = [t.strip() for t in line.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: expected src,dst,volume in [demand]")
-            rows.append(tuple(parts))
-        cfg.demand_lines = tuple(rows)
+        cfg.demand_lines = tuple(_triple(*entry, "demand", "src,dst,volume")
+                                 for entry in sections["demand"])
     if "injection" in sections:
         if len(sections["injection"]) != 1:
             raise ConfigError("[injection] takes exactly one entry,exit,volume line")
-        lineno, line = sections["injection"][0]
-        parts = [t.strip() for t in line.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"line {lineno}: expected entry,exit,volume in [injection]")
-        cfg.injection_line = tuple(parts)
+        cfg.injection_line = _triple(*sections["injection"][0], "injection", "entry,exit,volume")
 
     if "output" in sections:
         cfg.out_dir = _kv(sections["output"], "output", ("dir",)).get("dir")

@@ -31,12 +31,6 @@ distinct k in the tick. A tick therefore costs O(active nodes + their
 degree) in Python; only the state tuple itself is copied whole, at C
 speed. `step` also carries the next (S, I, R, D) counts, tallied from
 the moves it made, so no caller recounts states.
-
-`run` and the Monte Carlo replicas share one tick loop. Only `run`
-builds the (tick, node, from, to) event log; `monte_carlo` calls it for
-replica 0 alone, whose trace callers write out. Replicas 1..n-1 keep the
-counts rows and the set of nodes they infected, so their memory is
-O(ticks) rows plus at most one id per node, never O(events).
 """
 
 from __future__ import annotations
@@ -113,24 +107,27 @@ class EpidemicParams:
 class StateVector:
     """Per-node states at one tick; index is the node id.
 
-    A vector made by `step` or `initial_state` also carries the states
-    it can hold (`_kinds`), its I/D node ids in ascending order
-    (`_active`) and its (S, I, R, D) counts (`_counts`); one made by
-    `step` also carries the ids that step moved out of I or D (`_moved`)
-    and, in ascending order, the S ids it infected (`_caught`). A
-    hand-built vector has none of these, so the next `step` derives the
-    active ids with one validating scan and the counts with `counts()`.
-    Equality and hashing see only states and tick.
+    Every vector carries its I/D node ids in ascending order (`_active`)
+    and its (S, I, R, D) counts (`_counts`): `step` and `initial_state`
+    pass them in, and `__post_init__` derives them for a hand-built
+    vector. One made by `step` also carries the ids that step moved out
+    of I or D (`_moved`) and, in ascending order, the S ids it infected
+    (`_caught`). Equality and hashing see only states and tick.
     """
 
     states: tuple[str, ...]
     tick: int = 0
-    _kinds: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
-    _active: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    _counts: tuple[int, int, int, int] | None = field(default=None, init=False, repr=False,
-                                                      compare=False)
-    _moved: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    _caught: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _active: list[int] = field(default=None, kw_only=True, repr=False, compare=False)
+    _counts: tuple[int, int, int, int] = field(default=None, kw_only=True, repr=False,
+                                               compare=False)
+    _moved: list[int] | None = field(default=None, kw_only=True, repr=False, compare=False)
+    _caught: list[int] | None = field(default=None, kw_only=True, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._counts is None:
+            object.__setattr__(self, "_counts", self.counts())
+            object.__setattr__(self, "_active",
+                               [v for v, x in enumerate(self.states) if x == I or x == D])
 
     def counts(self) -> tuple[int, int, int, int]:
         st = self.states
@@ -144,8 +141,8 @@ def initial_state(net: Network, seeds) -> StateVector:
         if not (0 <= v < net.node_count):
             raise EpidemicError(f"seed {v} is not a node id")
         states[v] = I
-    counts = (net.node_count - len(seeds), len(seeds), 0, 0)
-    return _tracked(tuple(states), 0, frozenset((S, I)), seeds, counts)
+    return StateVector(tuple(states), 0, _active=seeds,
+                       _counts=(net.node_count - len(seeds), len(seeds), 0, 0))
 
 
 def infection_probability(k: int, beta: float) -> float:
@@ -158,19 +155,6 @@ def infection_probability(k: int, beta: float) -> float:
     return 1.0 - (1.0 - beta) ** k
 
 
-def _active_ids(states: tuple[str, ...], model: str) -> list[int]:
-    """Ascending I/D ids; raises on the first state illegal for the model."""
-    legal = _LEGAL[model]
-    active = []
-    for v, st in enumerate(states):
-        if st != S:
-            if st not in legal:
-                raise EpidemicError(f"node {v}: state {st!r} illegal for {model}")
-            if st != R:
-                active.append(v)
-    return active
-
-
 def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -> StateVector:
     """One synchronous update; consumes draws per the module contract."""
     cur = sv.states
@@ -178,12 +162,13 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
     if len(cur) != n:
         raise EpidemicError(f"state vector has {len(cur)} entries for {n} nodes")
     model = p.model
-    legal = _LEGAL[model]
-    if sv._kinds is not None and sv._kinds <= legal:
-        active = sv._active
-    else:
-        active = _active_ids(cur, model)
-    s, i, r, d = sv._counts if sv._counts is not None else sv.counts()
+    s, i, r, d = sv._counts
+    # a state other than S/I/R/D, or one the model does not have
+    if s + i + r + d != n or (r and model != "SIR") or (d and model != "SID"):
+        legal = _LEGAL[model]
+        v = next(v for v, x in enumerate(cur) if x not in legal)
+        raise EpidemicError(f"node {v}: state {cur[v]!r} illegal for {model}")
+    active = sv._active
     nxt = list(cur)
 
     # transition pass: every I/D node in id order, one draw each (none in
@@ -246,23 +231,13 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
         active = sorted(active + caught)
         s -= len(caught)
         i += len(caught)
-    return _tracked(tuple(nxt), sv.tick + 1, legal, active, (s, i, r, d), moved, caught)
+    return StateVector(tuple(nxt), sv.tick + 1, _active=active, _counts=(s, i, r, d),
+                       _moved=moved, _caught=caught)
 
 
 def _with_draws(nodes: list[int], rng: random.Random):
     """(v, u) for each v in nodes with its draw u; exactly len(nodes) draws, in order."""
     return zip(nodes, starmap(rng.random, repeat((), len(nodes))))
-
-
-def _tracked(states, tick, kinds, active, counts, moved=None, caught=None) -> StateVector:
-    """A StateVector that carries its possible states, I/D ids, counts and changes."""
-    sv = StateVector(states, tick)
-    object.__setattr__(sv, "_kinds", kinds)
-    object.__setattr__(sv, "_active", active)
-    object.__setattr__(sv, "_counts", counts)
-    object.__setattr__(sv, "_moved", moved)
-    object.__setattr__(sv, "_caught", caught)
-    return sv
 
 
 @dataclass
@@ -332,10 +307,9 @@ def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) 
 def _simulate(net, seeds, p, max_ticks, stop, rng_seed, log):
     """The tick loop of `run` (log=True) and `_replica` (log=False).
 
-    Returns the (tick, S, I, R, D) rows, the (tick, node, from, to) event
-    log or None, the final states and the number of distinct nodes ever
-    infected. The rows come from the counts `step` carries, so without
-    the log a run holds O(ticks) rows and a set of the nodes it infected.
+    Returns the (tick, S, I, R, D) rows, read from the counts `step`
+    carries, the (tick, node, from, to) event log or None, the final
+    states and the number of distinct nodes ever infected.
     """
     seeds = _check_run(net, seeds, max_ticks, stop)
     sv = initial_state(net, seeds)
@@ -429,13 +403,13 @@ def monte_carlo(
 ) -> AggregateStats:
     """Run n_runs independent replicas and aggregate their traces.
 
-    Replica i always uses the seed derived from (base_seed, i). The caller
-    runs replica 0 through `run` and keeps its trace, the only one with an
-    event log; replicas 1..n_runs-1 run through `map_tasks` as `_replica`,
-    which returns only counts rows and an outbreak size. Replicas are
-    folded into integer running sums, mins and maxs, which is exact in any
-    order, so the result is identical for every n_jobs. Memory holds
-    replica 0's trace, O(ticks) rows per replica in flight and
+    Replica i always uses the seed derived from (base_seed, i). Replica 0
+    runs through `run` in the caller and is the only one with an event
+    log; the rest run through `map_tasks` as `_replica`, which keeps only
+    counts rows and the set of nodes it infected: O(ticks) rows plus at
+    most one id per node, never O(events). Replicas are folded into
+    integer running sums, mins and maxs, which is exact in any order, so
+    the result is identical for every n_jobs and the fold holds
     O(ticks + n_runs) numbers. Every argument is checked before any
     worker starts.
     """
@@ -479,11 +453,7 @@ def monte_carlo(
 
 
 def _replica(job, i):
-    """Replica i of a batch as (counts rows, number of nodes ever infected).
-
-    It builds no event log: the rows come from the counts `step` carries
-    and the outbreak size from the distinct ids it infected.
-    """
+    """Replica i of a batch as (counts rows, number of nodes ever infected)."""
     net, seeds, p, max_ticks, stop, base_seed = job
     counts, _, _, infected = _simulate(net, seeds, p, max_ticks, stop,
                                        derive_seed(base_seed, i), False)

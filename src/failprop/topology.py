@@ -5,36 +5,11 @@ both the control-plane and the data-plane neighbor relation; code that
 needs only one plane filters by node role (controllers never carry data
 traffic, switches never act as controllers).
 
-Edge-list file format (UTF-8, `#` starts a comment anywhere on a line):
-
-    0 1               one `u v` line per edge, before any section header
-    [nodes]           optional; lets a file declare isolated nodes
-    count=10
-    [roles]           optional; unannotated nodes are `generic`
-    3=controller
-    [controllers]     optional; ordered controller preference per switch
-    0:3,4
-
-A node token that `int()` reads (`3`, `03`, `+3`) is that id. If any
-token is not an integer, every token is a name: names get dense ids in
-order of first appearance (edge ends line by line, then role ids, then
-each switch followed by its controllers), kept on the Network as an
-alias table. A node may have one `[roles]` line and one `[controllers]`
-line, and `[nodes]` one `count=` line; a repeat is an error, as is any
-malformed line, reported with its line number. A controller list may be
-empty (`0:`) but may not have an empty item (`0:1,,`, `0:1,`, `0:,1`), and
-no node id may be empty (`=controller`, `:1`).
-
-`split_sections`, which configs share, cuts a document into sections.
-Loading runs in three stages. The scan checks the shape of every line and
-returns its tokens; each token is shared as it is cut, so equal tokens are
-one string object. A large file names few nodes many times (20,000
-switches with 8 controllers each are some 260k tokens for 20k nodes), and
-one object per token was most of the memory a load held. The resolve
-stage collects the distinct tokens once, in first-appearance order, into
-one dict that gives both the `int()` ids and the names' ids, and checks
-them. `Network.from_edges` then builds the graph; no token outlives the
-resolve stage.
+The edge-list file format is specified in README, "Edge-list files". A
+names-mode file keeps its name -> id table on the Network as `aliases`.
+`split_sections`, which configs share, cuts a document into sections;
+`load_edge_list` reads one in three stages: `_scan`, `_resolve` and
+`Network.from_edges`.
 """
 
 from __future__ import annotations
@@ -45,8 +20,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat, starmap
-from operator import eq, itemgetter, methodcaller
+from itertools import chain, compress, count, filterfalse, islice, repeat, starmap
+from operator import eq, itemgetter, methodcaller, ne, not_
 from typing import Iterable
 
 EDGE_SWITCH = "edge_switch"
@@ -90,10 +65,8 @@ class Network:
             raise TopologyError("node_count must be >= 1")
         if len(self.roles) != n:
             raise TopologyError(f"roles has {len(self.roles)} entries for {n} nodes")
-        if not _ROLE_SET.issuperset(self.roles):
-            for v, role in enumerate(self.roles):
-                if role not in ROLES:
-                    raise TopologyError(f"node {v}: unknown role {role!r}")
+        for role in filterfalse(_ROLE_SET.__contains__, self.roles):
+            raise TopologyError(f"node {self.roles.index(role)}: unknown role {role!r}")
         for e in self.edges:
             u, v = e
             if u == v:
@@ -101,7 +74,8 @@ class Network:
             if not (0 <= u < v < n):
                 raise TopologyError(f"edge {e} out of range or not normalized")
         if self.controller_prefs:
-            switches, controllers = set(self.switches()), set(self.controllers())
+            switches = set(self.switches())
+            is_controller = set(self.controllers()).__contains__
             for sw, prefs in self.controller_prefs.items():
                 if sw not in switches:
                     if not (0 <= sw < n):
@@ -111,8 +85,7 @@ class Network:
                     )
                 if len(set(prefs)) != len(prefs):
                     raise TopologyError(f"controller_prefs: duplicate controller for switch {sw}")
-                if not controllers.issuperset(prefs):
-                    c = next(c for c in prefs if c not in controllers)
+                for c in filterfalse(is_controller, prefs):
                     if not (0 <= c < n):
                         raise TopologyError(f"controller_prefs: unknown controller id {c}")
                     raise TopologyError(
@@ -194,10 +167,9 @@ def _err(lineno: int, msg: str) -> TopologyError:
     return TopologyError(f"line {lineno}: {msg}")
 
 
-def _first(flags, linenos: list[int], lines: list[str], msg: str) -> tuple[int, str]:
-    """(line number, message) of the first line whose flag is set."""
-    i = next(i for i, flag in enumerate(flags) if flag)
-    return linenos[i], msg.format(lines[i])
+def _first(flags, linenos: list[int], lines: list[str], msg: str) -> list[tuple[int, str]]:
+    """[(line number, message)] of the first line whose flag is set, or []."""
+    return [(linenos[i], msg.format(lines[i])) for i in islice(compress(count(), flags), 1)]
 
 
 def _field(lines: list[str], sep: str, i: int) -> list[str]:
@@ -249,8 +221,10 @@ def _scan(text: str):
     Every token, role names included, goes through one `_Shared` dict as
     it is cut, so the scan returns one string object per distinct text:
     the copies die with their line instead of living until `_resolve`
-    returns. The dict fills in scan order, not in alias order, so
-    `_resolve` does not reuse it.
+    returns. A large file names few nodes many times (20,000 switches
+    with 8 controllers each are some 260k tokens for 20k nodes), and one
+    object per token was most of the memory a load held. The dict fills
+    in scan order, not in alias order, so `_resolve` does not reuse it.
     """
     # section -> (line numbers, lines); a header may repeat
     body: dict[str, tuple[list[int], list[str]]] = {s: ([], []) for s in ("", *_SECTIONS)}
@@ -264,9 +238,8 @@ def _scan(text: str):
         body[name][1].extend(lines)
 
     edge_nos, kept = body[""]
-    if not set(map(len, map(str.split, kept))) <= {2}:
-        errors.append(_first((len(x.split()) != 2 for x in kept), edge_nos, kept,
-                             "expected 'u v', got {!r}"))
+    errors += _first(map(ne, map(len, map(str.split, kept)), repeat(2)), edge_nos, kept,
+                     "expected 'u v', got {!r}")
     share = _Shared().__getitem__
     ends = list(map(share, " ".join(kept).split()))
 
@@ -297,17 +270,13 @@ def _scan(text: str):
         (role_nos, role_lines, "=", role_ids, "expected 'id=role', got {!r}"),
         (pref_nos, pref_lines, ":", switches, "expected 'switch:ctrl,ctrl,...', got {!r}"),
     ):
-        if not all(map(str.__contains__, kept, repeat(sep))):
-            errors.append(_first((sep not in x for x in kept), linenos, kept, msg))
-        if "" in ids:
-            errors.append(_first(map(eq, ids, repeat("")), linenos, kept,
-                                 "empty node id, got {!r}"))
+        errors += _first(map(not_, map(str.__contains__, kept, repeat(sep))), linenos, kept, msg)
+        errors += _first(map(not_, ids), linenos, kept, "empty node id, got {!r}")
     # `0:` is an empty list; `0:1,,`, `0:1,` and `0:,1` have an empty item
     prefs = [tuple(map(share, map(str.strip, rest.split(",")))) if rest else ()
              for rest in _field(pref_lines, ":", 2)]
-    if "" in chain.from_iterable(prefs):
-        errors.append(_first(map(tuple.__contains__, prefs, repeat("")), pref_nos, pref_lines,
-                             "empty controller item, got {!r}"))
+    errors += _first(map(tuple.__contains__, prefs, repeat("")), pref_nos, pref_lines,
+                     "empty controller item, got {!r}")
     if errors:
         # of two errors on one line, the one appended first (its node id) wins
         raise _err(*min(errors, key=itemgetter(0)))
@@ -321,7 +290,9 @@ def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch
     """Stage 2: turn the scanned tokens into node ids and check them.
 
     Returns the arguments of `Network.from_edges`: (n, normalized edge
-    pairs, role map, preference map, alias table or None).
+    pairs, role map, preference map, alias table or None); no token
+    outlives this stage. A line-by-line loop runs only when a bulk check
+    fails, to name the first bad line.
     """
     # the distinct tokens in order of first appearance: edge ends line by
     # line, role ids, then each switch followed by its controllers
@@ -405,17 +376,10 @@ def load_edge_list(text: str, roles: dict | None = None) -> Network:
     `roles` optionally adds or overrides role annotations (keyed by id or alias name) on top
     of the file's own `[roles]` section.
 
-    Three stages: `_scan` checks the shape of every line and returns its
-    tokens, one string object per distinct text; `_resolve` maps them to
-    ids through one dict of the distinct tokens in first-appearance order
-    (their `int()` values, or the names' dense ids) and checks the ids;
-    `Network.from_edges` builds the graph.
-    The tokens die when `_resolve` returns, before the Network is built.
-    Valid input is checked in bulk; a line-by-line loop runs only when a
-    bulk check fails, to raise the message that names the first bad line.
-    The stages build no reference cycles, only enough containers to set
-    off the cyclic garbage collector many times, so it is paused while
-    they run and its earlier state is put back on return or on error.
+    The stages (`_scan`, `_resolve`, `Network.from_edges`) build no
+    reference cycles, only enough containers to set off the cyclic garbage
+    collector many times, so it is paused while they run and its earlier
+    state is put back on return or on error.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -126,6 +126,29 @@ def test_epidemic_seed_override_changes_resolved_config(tmp_path):
     assert "rng_seed=99" in read(out / "resolved-config.txt")
 
 
+@pytest.mark.parametrize("command", ["epidemic", "sweep", "cascade", "gen"])
+@pytest.mark.parametrize("seed,ok", [
+    ("-1", False), (str(2**64), False), ("0", True), (str(2**64 - 1), True),
+])
+def test_seed_option_is_64_bit(tmp_path, capsys, command, seed, ok):
+    text = {
+        "epidemic": SI_RING_CFG,
+        "sweep": SI_RING_CFG + "[sweep]\ngrid=0.2,0.4\n",
+        "cascade": "[topology]\ngenerate=ring:4\n[scenario]\nkind=horizontal\n",
+    }
+    out = tmp_path / "o"
+    if command == "gen":
+        args = ["gen", "ring", "4"]
+    else:
+        args = [command, "--config", write_cfg(tmp_path, text[command])]
+    code = main([*args, "--out", str(out), f"--seed={seed}"])
+    if ok:
+        assert code == 0 and out.exists()
+    else:
+        assert code == 2 and not out.exists()
+        assert f"--seed must be in [0, 2**64), got '{seed}'" in capsys.readouterr().err
+
+
 def test_epidemic_resolved_config_reproduces_run(tmp_path):
     cfg = write_cfg(tmp_path, SI_RING_CFG)
     a, b = tmp_path / "a", tmp_path / "b"

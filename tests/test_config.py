@@ -124,6 +124,26 @@ def test_parse_validates_run_values():
         parse_config("[run]\nepsilon=2\n")
     with pytest.raises(ConfigError, match="must be an integer"):
         parse_config("[run]\nn_runs=many\n")
+    # the first bad line in file order, whichever key it sets
+    with pytest.raises(ConfigError, match="n_runs must be an integer, got 'x'"):
+        parse_config("[run]\nn_runs=x\nmax_ticks=y\n")
+
+
+@pytest.mark.parametrize("section,key", [("run", "rng_seed"), ("topology", "gen_seed")])
+@pytest.mark.parametrize("value,ok", [
+    ("-1", False), (str(2**64), False), ("0", True), (str(2**64 - 1), True),
+])
+def test_seeds_are_64_bit(section, key, value, ok):
+    # outside [0, 2**64) a seed would alias another one: derive_seed masks
+    # to 64 bits and random.Random seeds from abs()
+    topology = "generate=ring:3\n" if section == "topology" else ""
+    text = f"[{section}]\n{topology}{key}={value}\n"
+    if ok:
+        assert getattr(parse_config(text), key) == int(value)
+    else:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"{key} must be in [0, 2**64), got '{value}'"
 
 
 def test_parse_scenario_section_constraints():

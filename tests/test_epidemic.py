@@ -230,6 +230,9 @@ def test_step_rejects_bad_input():
     with pytest.raises(EpidemicError, match="illegal"):
         step(net, StateVector(("S", "D", "S"), 0), EpidemicParams("SI", beta=0.5),
              random.Random(0))
+    # a state that is none of S/I/R/D, found from the counts alone
+    with pytest.raises(EpidemicError, match="node 1: state 'X' illegal for SID"):
+        step(net, StateVector(("I", "X", "S"), 0), p, random.Random(0))
 
 
 # --- full runs ---------------------------------------------------------------

@@ -385,6 +385,7 @@ def test_step_carries_the_counts_of_its_states(data, net, ps, seed):
         assert sv._counts == sv.counts()
     else:
         sv = StateVector(tuple(data.draw(states_for(n, ps[0].model))), data.draw(st.integers(0, 9)))
+    assert sv._active == [v for v, x in enumerate(sv.states) if x in "ID"]
     rng = random.Random(seed)
     for p in ps:
         for _ in range(data.draw(st.integers(1, 4))):
@@ -396,6 +397,7 @@ def test_step_carries_the_counts_of_its_states(data, net, ps, seed):
                 assert not set(sv.states) <= _LEGAL[p.model]
                 return
             assert sv._counts == sv.counts()
+            assert sv._active == [v for v, x in enumerate(sv.states) if x in "ID"]
 
 
 # --- Monte Carlo in worker processes -------------------------------------------
