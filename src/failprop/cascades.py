@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, filterfalse, repeat
 from math import isfinite
-from operator import add
+from operator import add, indexOf
 from typing import NamedTuple
 
 from .topology import CONTROLLER, EDGE_SWITCH, SWITCH_ROLES, Network
@@ -280,6 +279,23 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
 # ---------------------------------------------------------------------------
 # horizontal: data-plane capacity overflow
 
+class _Alive(frozenset):
+    """One round's alive set, plus its `marks` for `route_demand`: -1 for
+    each alive node, node_count (never a distance) for every other id."""
+
+    __slots__ = ("marks",)
+
+    def __new__(cls, alive, node_count: int):
+        self = super().__new__(cls, alive)
+        self.marks = _marks(self, node_count)
+        return self
+
+
+def _marks(alive, n: int) -> list[int]:
+    # ids in `alive` outside [0, n) are never looked up, so they mark nothing
+    return [-1 if v in alive else n for v in range(n)]
+
+
 def route_demand(net: Network, alive: set[int], src: int, dst: int,
                  misroute: bool = False) -> list[int] | None:
     """Deterministic shortest path from src to dst inside `alive`.
@@ -289,38 +305,43 @@ def route_demand(net: Network, alive: set[int], src: int, dst: int,
     Returns None when dst is unreachable; ids in `alive` outside
     [0, node_count) are not nodes and are ignored.
 
-    Cost: an O(node_count) set-up, plus the nodes a breadth-first search
-    from dst visits before it reaches src.
+    Cost: a copy of the n-slot marks of `alive` (built here unless
+    `compute_loads` built them once for its round), plus the levels of a
+    breadth-first search from dst up to the level that holds src.
     """
     if src == dst:
         raise ScenarioError(f"route endpoints are both {src}")
     n = net.node_count
-    if not (0 <= src < n and 0 <= dst < n) or src not in alive or dst not in alive:
+    marks = alive.marks if type(alive) is _Alive else _marks(alive, n)
+    if not (0 <= src < n and 0 <= dst < n) or marks[src] != -1 or marks[dst] != -1:
         return None
-    # distances to dst, then greedy walk: picking the extremal neighbor one
-    # step closer at each hop yields the extremal tied path. The walk reads
-    # only levels below dist[src], which are complete once src is reached.
-    # dist[v] is -1 until v is reached; `alive` is read only for a node not
-    # reached yet, so ids in it that are not nodes are never looked at.
+    # distances to dst, one complete level at a time; dist[u] is -1 only
+    # for an alive node not reached yet. Then a greedy walk: picking the
+    # extremal neighbour one step closer at each hop yields the extremal
+    # tied path, and it reads only the levels below dist[src].
     adj = net.adj
-    dist = [-1] * n
+    dist = marks.copy()
     dist[dst] = 0
-    queue = deque([dst])
-    while queue and dist[src] == -1:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for u in adj[v]:
-            if dist[u] == -1 and u in alive:
-                dist[u] = d
-                queue.append(u)
+    level = [dst]
+    d = 0
+    while level and dist[src] == -1:
+        d += 1
+        reached = []
+        for v in level:
+            for u in adj[v]:
+                if dist[u] == -1:
+                    dist[u] = d
+                    reached.append(u)
+        level = reached
     if dist[src] == -1:
         return None
-    pick = max if misroute else min
+    # rows are sorted, so the first match is the smallest (reversed: largest)
+    at = dist.__getitem__
     path = [src]
     cur = src
-    while cur != dst:
-        want = dist[cur] - 1
-        cur = pick(u for u in adj[cur] if dist[u] == want)
+    for want in range(dist[src] - 1, -1, -1):
+        row = adj[cur][::-1] if misroute else adj[cur]
+        cur = row[indexOf(map(at, row), want)]
         path.append(cur)
     return path
 
@@ -357,13 +378,14 @@ def compute_loads(net: Network, alive: set[int], sc: HorizontalScenario,
     dropped flow stays dropped, and only the rest are routed again.
     """
     load = {v: 0.0 for v in alive}
+    open_nodes = _Alive(alive, net.node_count)  # one set of marks per round
     dropped = []
     paths = []
     for i, (kind, src, dst, volume) in enumerate(_all_flows(sc)):
         if prev is not None and (prev.paths[i] is None or alive.issuperset(prev.paths[i])):
             path = prev.paths[i]
         else:
-            path = route_demand(net, alive, src, dst, sc.misroute)
+            path = route_demand(net, open_nodes, src, dst, sc.misroute)
         paths.append(path)
         if path is None:
             dropped.append((kind, src, dst, volume))

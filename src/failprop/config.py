@@ -266,14 +266,18 @@ def find_config(ref: str) -> Path:
 
 def load_config(ref: str) -> ExperimentConfig:
     path = find_config(ref)
-    return parse_config(path.read_text(), base_dir=path.parent)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config(text, base_dir=path.parent)
 
 
 def read_topology(path: Path | str) -> Network:
     """Load the edge-list file at `path`; an unreadable file is a TopologyError."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TopologyError(f"cannot read topology file {path}: {exc}") from None
     return load_edge_list(text)
 

@@ -36,6 +36,7 @@ the moves it made, so no caller recounts states.
 from __future__ import annotations
 
 import contextlib
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -464,9 +465,10 @@ def _replica(job, i):
 def map_tasks(fn, job, tasks, n_jobs: int):
     """Yield the results of fn(job, task) for each task, in task order.
 
-    With n_jobs > 1 they run in one pool of min(n_jobs, len(tasks)) worker
-    processes (~20-40 ms to start), each sent `job` once by its initializer,
-    while the caller works in the `with` block; leaving it stops the pool.
+    With n_jobs > 1 they run in one pool of min(n_jobs, len(tasks),
+    os.cpu_count()) worker processes (~20-40 ms to start), each sent `job`
+    once by its initializer, while the caller works in the `with` block;
+    leaving it stops the pool.
     Otherwise they run in the caller as it iterates.
     """
     if n_jobs < 1:
@@ -475,7 +477,8 @@ def map_tasks(fn, job, tasks, n_jobs: int):
         yield map(partial(fn, job), tasks)
     else:
         import multiprocessing  # not at module level: it costs ~20 ms of import
-        with multiprocessing.Pool(min(n_jobs, len(tasks)), _init_worker, (fn, job)) as pool:
+        size = min(n_jobs, len(tasks), os.cpu_count() or 1)
+        with multiprocessing.Pool(size, _init_worker, (fn, job)) as pool:
             yield pool.imap(_worker_task, tasks)
 
 

@@ -269,6 +269,10 @@ def test_route_ignores_alive_ids_that_are_not_nodes(misroute):
     # -1 is not node 3 (which is down here), and 7 is no node of ring(4)
     assert route_demand(net, {0, 2, -1}, 0, 2, misroute) is None
     assert route_demand(net, {0, 1, 2, 7}, 0, 2, misroute) == [0, 1, 2]
+    # compute_loads builds the round's marks itself, where a -1 would mark node 3
+    sc = HorizontalScenario({}, demands=[(0, 2, 1.0)], misroute=misroute)
+    assert compute_loads(net, {0, 2, -1}, sc).dropped == (("demand", 0, 2, 1.0),)
+    assert compute_loads(net, {0, 1, 2, 7}, sc).paths == ([0, 1, 2],)
 
 
 def test_route_endpoint_that_is_not_a_node_is_unreachable():

@@ -400,6 +400,18 @@ def test_validate_missing_file_exits_3(tmp_path, capsys):
     assert f"cannot read topology file {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, data, args, code, msg", [
+    ("bad.edges", b"0 1\n1 \xff\n", [], 3, "cannot read topology file"),
+    ("bad.cfg", b"[topology]\n# caf\xe9\ngenerate=ring:5\n", ["--config"], 2,
+     "cannot read config file"),
+])
+def test_validate_input_that_is_not_utf8(tmp_path, capsys, name, data, args, code, msg):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main(["validate", *args, str(path)]) == code
+    assert f"{msg} {path}: 'utf-8' codec can't decode byte" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("generate,msg", [
     ("ba:5:9", "barabasi_albert needs 1 <= m < n"),
     ("moebius:4", "unknown generator 'moebius'"),

@@ -37,9 +37,10 @@ the seed ids or the scenario the run resolved must give the same text.
 
 import json
 import multiprocessing.pool
+import os
 import random
 import tempfile
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -578,6 +579,39 @@ def test_caller_failure_inside_the_pool_block_leaves_no_worker(pool_starts, monk
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus, n_jobs, n_runs, size", [
+    (2, 5000, 5000, 2),
+    (4, 3, 10, 3),
+    (8, 16, 6, 5),
+    (None, 4, 4, 1),
+])
+def test_worker_count_is_capped_by_the_cpu_count(monkeypatch, cpus, n_jobs, n_runs, size):
+    # a stand-in pool: no process starts, whatever n_jobs asks for
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(failprop.epidemic, "_worker_fn", None)
+    p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
+    pooled = monte_carlo(ring(10), {0}, p, 5, n_runs=n_runs, n_jobs=n_jobs)
+    assert sizes == [size]
+    assert pooled == monte_carlo(ring(10), {0}, p, 5, n_runs=n_runs, n_jobs=1)
+
+
 # --- cascade oracles: full recomputation every round ---------------------------
 
 def reference_route_demand(net, alive, src, dst, misroute=False):
@@ -943,6 +977,39 @@ def test_horizontal_run_on_a_40x40_grid_matches_the_oracles(monkeypatch):
     assert calls
     for alive, src, dst, misroute, path in calls:
         assert path == reference_route_demand(net, alive, src, dst, misroute)
+
+
+@pytest.mark.parametrize("misroute", [False, True])
+def test_horizontal_run_routes_the_flows_that_crossed_a_failed_node(monkeypatch, misroute):
+    # the model fixes the number of route_demand calls, which the benchmark's
+    # tracer counts: round 1 routes every flow, and round r > 1 exactly the
+    # flows whose round r - 1 path holds a node that failed in round r - 1
+    rng = random.Random(1600)
+    net = grid(40, 40)
+    n = net.node_count
+    caps = {v: 2.0 for v in rng.sample(range(n), n // 10)}
+    demands = [(*rng.sample(range(n), 2), 1.0) for _ in range(150)]
+    sc = HorizontalScenario(caps, demands, misroute=misroute)
+    calls = Counter()
+
+    def counting_route(net, alive, src, dst, misroute=False):
+        calls[frozenset(alive)] += 1
+        return route_demand(net, alive, src, dst, misroute)
+
+    monkeypatch.setattr(failprop.cascades, "route_demand", counting_route)
+    trace = run_horizontal(net, sc)
+    expected = Counter()
+    last = None  # the round before: its oracle paths and its failed_now
+    for rnd in trace.rounds:
+        alive = frozenset(range(n)) - rnd.failed_before
+        if last is None:
+            expected[alive] = len(demands)
+        else:
+            paths, failed = last
+            expected[alive] = sum(p is not None and not failed.isdisjoint(p) for p in paths)
+        last = reference_compute_loads(net, set(alive), sc)[2], rnd.failed_now
+    assert len(trace.rounds) > 2
+    assert calls == expected
 
 
 @settings(deadline=None)
