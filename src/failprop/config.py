@@ -68,16 +68,25 @@ def _kv(entries, section: str, allowed: tuple[str, ...] | None) -> dict[str, str
     return out
 
 
+def _plain(value: str) -> str:
+    """`value` if it is plain ASCII with no `_`; a ValueError otherwise. A
+    number must pass this before `int()` or `float()` reads it, so `5_0` and
+    non-ASCII digits, which both would accept, are errors."""
+    if "_" in value or not value.isascii():
+        raise ValueError(value)
+    return value
+
+
 def _as_int(value: str, name: str) -> int:
     try:
-        return int(value)
+        return int(_plain(value))
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_float(value: str, name: str) -> float:
     try:
-        x = float(value)
+        x = float(_plain(value))
     except ValueError:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(x):
@@ -320,11 +329,13 @@ def _node_values(net: Network, lines, name: str) -> dict[int, float]:
     name the same node (an alias and its id, say) are an error.
 
     Without aliases every token goes through one `int` and one `float` map,
-    with range, finiteness and repeats checked in bulk; the line-by-line
-    loop runs only when one of those fails, to raise for the first bad line."""
+    with the value grammar (`_plain`, on all values joined), range,
+    finiteness and repeats checked in bulk; the line-by-line loop runs only
+    when one of those fails, to raise for the first bad line."""
     if net.aliases is None and lines:
         keys, values = zip(*lines)
         try:
+            _plain("".join(values))
             out = dict(zip(map(int, keys), map(float, values)))
         except ValueError:
             pass

@@ -28,9 +28,11 @@ goes; the infection pass visits the S neighbors of the I nodes. Each
 pass pairs its nodes with draws made in C (`_with_draws`), exactly one
 per node in id order, and 1 - (1 - beta)**k is computed once per
 distinct k in the tick. A tick therefore costs O(active nodes + their
-degree) in Python; only the state tuple itself is copied whole, at C
-speed. `step` also carries the next (S, I, R, D) counts, tallied from
-the moves it made, so no caller recounts states.
+degree) in Python. One kernel, `_advance`, writes a tick over the state
+list it reads; `step` wraps it around a copy. Replica 0 goes through
+`step`, which copies the states every tick for the event log; the other
+replicas copy nothing per tick. Both carry the next (S, I, R, D) counts,
+tallied from the moves made, so no caller recounts states.
 """
 
 from __future__ import annotations
@@ -169,8 +171,20 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
         legal = _LEGAL[model]
         v = next(v for v, x in enumerate(cur) if x not in legal)
         raise EpidemicError(f"node {v}: state {cur[v]!r} illegal for {model}")
-    active = sv._active
     nxt = list(cur)
+    active, counts, moved, caught = _advance(net.adj, nxt, sv._active, sv._counts, p, rng)
+    return StateVector(tuple(nxt), sv.tick + 1, _active=active, _counts=counts,
+                       _moved=moved, _caught=caught)
+
+
+def _advance(adj, states, active, counts, p, rng):
+    """Write tick t+1 over the tick-t `states`, given its ascending I/D ids
+    and (S, I, R, D) counts; return those of t+1, the ids moved out of I or
+    D and the ascending ids caught. The infection pass reads tick t, so only
+    I -> D, which never makes a node S, is written before it."""
+    model = p.model
+    s, i, r, d = counts
+    back, to = [], S  # moves written after the exposure count, and their state
 
     # transition pass: every I/D node in id order, one draw each (none in
     # SI); the nodes that stay I or D form the next active list as it goes
@@ -178,23 +192,22 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
         infected, kept, down, cured, repaired = [], [], [], [], []
         tau, exit_s, gamma = p.tau, p.tau + p.delta1, p.gamma
         for v, u in _with_draws(active, rng):
-            if cur[v] == I:
+            if states[v] == I:
                 infected.append(v)
                 if u < tau:
-                    nxt[v] = D
+                    states[v] = D
                     down.append(v)
                 elif u < exit_s:
-                    nxt[v] = S
                     cured.append(v)
                     continue
             elif u < gamma:
-                nxt[v] = S
                 repaired.append(v)
                 continue
             kept.append(v)
         active = kept
-        moved = down + cured + repaired
-        s += len(cured) + len(repaired)
+        back = cured + repaired
+        moved = down + back
+        s += len(back)
         i -= len(down) + len(cured)
         d += len(down) - len(repaired)
     else:
@@ -209,31 +222,29 @@ def step(net: Network, sv: StateVector, p: EpidemicParams, rng: random.Random) -
                     moved.append(v)
                 else:
                     kept.append(v)
-            active = kept
+            active, back = kept, moved
             i -= len(moved)
             if model == "SIS":
-                to, s = S, s + len(moved)
+                s += len(moved)
             else:
                 to, r = R, r + len(moved)
-            for v in moved:
-                nxt[v] = to
 
     # infection pass: every S neighbor of an I node in id order, one draw
     # each, against 1 - (1 - beta)**k computed once per distinct count k
-    adj = net.adj
-    pressure = Counter([u for v in infected for u in adj[v] if cur[u] == S])
+    pressure = Counter([u for v in infected for u in adj[v] if states[u] == S])
     comp = 1.0 - p.beta
     hit = {k: 1.0 - comp ** k for k in set(pressure.values())}
     caught = [v for v, u in _with_draws(sorted(pressure), rng) if u < hit[pressure[v]]]
+    for v in back:
+        states[v] = to
     for v in caught:
-        nxt[v] = I
+        states[v] = I
 
     if caught:
         active = sorted(active + caught)
         s -= len(caught)
         i += len(caught)
-    return StateVector(tuple(nxt), sv.tick + 1, _active=active, _counts=(s, i, r, d),
-                       _moved=moved, _caught=caught)
+    return active, (s, i, r, d), moved, caught
 
 
 def _with_draws(nodes: list[int], rng: random.Random):
@@ -306,36 +317,37 @@ def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) 
 
 
 def _simulate(net, seeds, p, max_ticks, stop, rng_seed, log):
-    """The tick loop of `run` (log=True) and `_replica` (log=False).
+    """The tick loop of `run` (log=True: `step` every tick, for the event
+    log) and `_replica` (log=False: `_advance` over one state list).
 
-    Returns the (tick, S, I, R, D) rows, read from the counts `step`
-    carries, the (tick, node, from, to) event log or None, the final
-    states and the number of distinct nodes ever infected.
+    Returns the (tick, S, I, R, D) rows, the event log and final states
+    (None without a log), and the number of distinct nodes ever infected.
     """
     seeds = _check_run(net, seeds, max_ticks, stop)
     sv = initial_state(net, seeds)
     rng = random.Random(rng_seed)
+    counts = sv._counts
     events = [(0, v, S, I) for v in seeds] if log else None
+    if not log:
+        states, active, adj = list(sv.states), sv._active, net.adj
     ever = set(seeds)
-    row = (0, *sv._counts)
-    counts = [row]
+    rows = [(0, *counts)]
 
-    while sv.tick < max_ticks:
-        if row[2] == 0 and row[4] == 0:  # no I, no D: nothing left to draw
+    for t in range(1, max_ticks + 1):
+        if counts[1] == 0 and counts[3] == 0:  # no I, no D: nothing left to draw
             if stop == "fixed_ticks":
-                counts.extend((t, *row[1:]) for t in range(sv.tick + 1, max_ticks + 1))
+                rows.extend((x, *counts) for x in range(t, max_ticks + 1))
             break
-        prev = sv.states
-        sv = step(net, sv, p, rng)
-        t = sv.tick
-        row = (t, *sv._counts)
-        counts.append(row)
-        ever.update(sv._caught)
         if log:
-            cur = sv.states
-            events += [(t, v, prev[v], cur[v]) for v in sorted(sv._moved + sv._caught)]
+            prev, sv = sv.states, step(net, sv, p, rng)
+            counts, cur, caught = sv._counts, sv.states, sv._caught
+            events += [(t, v, prev[v], cur[v]) for v in sorted(sv._moved + caught)]
+        else:
+            active, counts, _, caught = _advance(adj, states, active, counts, p, rng)
+        rows.append((t, *counts))
+        ever.update(caught)
 
-    return counts, events, sv.states, len(ever)
+    return rows, events, sv.states if log else None, len(ever)
 
 
 def _mean(xs) -> float:

@@ -149,6 +149,15 @@ def test_seed_option_is_64_bit(tmp_path, capsys, command, seed, ok):
         assert f"--seed must be in [0, 2**64), got '{seed}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["1_0", "\u0661\u0660"])
+def test_seed_option_has_one_spelling(tmp_path, capsys, seed):
+    out = tmp_path / "o"
+    code = main(["epidemic", "--config", write_cfg(tmp_path, SI_RING_CFG), "--out", str(out),
+                 f"--seed={seed}"])
+    assert code == 2 and not out.exists()
+    assert f"--seed must be an integer, got '{seed}'" in capsys.readouterr().err
+
+
 def test_epidemic_resolved_config_reproduces_run(tmp_path):
     cfg = write_cfg(tmp_path, SI_RING_CFG)
     a, b = tmp_path / "a", tmp_path / "b"

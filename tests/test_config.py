@@ -129,6 +129,51 @@ def test_parse_validates_run_values():
         parse_config("[run]\nn_runs=x\nmax_ticks=y\n")
 
 
+# int() and float() read `_` digit groups and non-ASCII digits; a config
+# number may not hold either, and the error quotes the token as written
+@pytest.mark.parametrize("text, msg", [
+    ("[run]\nmax_ticks=5_0\n", "max_ticks must be an integer, got '5_0'"),
+    ("[run]\nn_runs=\u0664\n", "n_runs must be an integer, got '\u0664'"),
+    ("[run]\nn_jobs=\uff12\n", "n_jobs must be an integer, got '\uff12'"),
+    ("[run]\nrng_seed=1_000\n", "rng_seed must be an integer, got '1_000'"),
+    ("[run]\nepsilon=0_1\n", "epsilon must be a number, got '0_1'"),
+    ("[topology]\ngen_seed=\u0663\n", "gen_seed must be an integer, got '\u0663'"),
+    ("[model]\nmodel=SI\nbeta=0_4\nseeds=0\n", "beta must be a number, got '0_4'"),
+    ("[model]\nmodel=SIS\nbeta=0.4\ndelta1=0.\u0665\nseeds=0\n",
+     "delta1 must be a number, got '0.\u0665'"),
+    ("[model]\nmodel=SID\nbeta=0.4\ntau=1e-1_0\nseeds=0\n", "tau must be a number, got '1e-1_0'"),
+    ("[model]\nmodel=SID\nbeta=0.4\ngamma=.2_5\nseeds=0\n", "gamma must be a number, got '.2_5'"),
+    ("[sweep]\ngrid=0.1,0_2\n", "grid must be a number, got '0_2'"),
+])
+def test_numbers_have_one_spelling(text, msg):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == msg
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("[topology]\ngenerate=ring:1_0\n", "generate must be a number, got '1_0'"),
+    ("[topology]\ngenerate=ba:\u0662\u0660:2\n", "generate must be a number, got '\u0662\u0660'"),
+    ("[topology]\ngenerate=ring:6\n[scenario]\nkind=vertical\n[rate]\n0=1_0\n",
+     "rate 0 must be a number, got '1_0'"),
+    ("[topology]\ngenerate=ring:6\n[scenario]\nkind=vertical\n[attack]\n0=1_5\n",
+     "attack 0 must be a number, got '1_5'"),
+    ("[topology]\ngenerate=ring:6\n[scenario]\nkind=horizontal\n[demand]\n0,3,2_0\n",
+     "demand volume must be a number, got '2_0'"),
+    ("[topology]\ngenerate=ring:6\n[scenario]\nkind=horizontal\n[injection]\n0,3,\u0669\n",
+     "injection volume must be a number, got '\u0669'"),
+])
+def test_network_and_scenario_numbers_have_one_spelling(text, msg):
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError) as err:
+        net = build_network(cfg)
+        if cfg.scenario_kind == "vertical":
+            build_vertical_scenario(cfg, net)
+        else:
+            build_horizontal_scenario(cfg, net)
+    assert str(err.value) == msg
+
+
 @pytest.mark.parametrize("section,key", [("run", "rng_seed"), ("topology", "gen_seed")])
 @pytest.mark.parametrize("value,ok", [
     ("-1", False), (str(2**64), False), ("0", True), (str(2**64 - 1), True),
@@ -414,6 +459,9 @@ def test_read_topology_names_an_unreadable_file(tmp_path):
     (("1=nan", "9=1"), "capacity 1 must be finite, got 'nan'"),
     (("9=1", "1=nan"), "capacity: node id 9 out of range"),
     (("1=x", "a=1"), "capacity 1 must be a number, got 'x'"),
+    (("2=5", "1=1_0"), "capacity 1 must be a number, got '1_0'"),
+    (("2=\u0665", "1=x"), "capacity 2 must be a number, got '\u0665'"),
+    (("2=5", "1=\uff11"), "capacity 1 must be a number, got '\uff11'"),
 ])
 def test_integer_node_values_report_the_first_bad_line(lines, msg):
     text = ("[topology]\ngenerate=ring:6\n\n[scenario]\nkind=horizontal\n\n[capacity]\n"

@@ -103,6 +103,7 @@ from failprop.topology import (
     SWITCH_ROLES,
     Network,
     TopologyError,
+    barabasi_albert,
     grid,
     load_edge_list,
     ring,
@@ -374,6 +375,52 @@ def test_counts_only_replica_matches_run(model, stop, data, base_seed, i):
 
 
 @settings(deadline=None)
+@given(runs(), st.integers(0, 2**32), st.integers(0, 5))
+def test_counts_only_replica_matches_full_scan_oracle(case, base_seed, i):
+    # the replica writes each tick over one state list; the oracle copies
+    # and scans every node, so a node written too early shows up here
+    net, seeds, p, max_ticks, stop = case
+    traj = reference_trajectory(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
+    rows = [(sv.tick, *sv.counts()) for sv in traj]
+    if stop == "fixed_ticks":
+        rows += [(t, *rows[-1][1:]) for t in range(len(rows), max_ticks + 1)]
+    infected = {v for sv in traj for v, x in enumerate(sv.states) if x == I}
+    job = (net, seeds, p, max_ticks, stop, base_seed)
+    assert failprop.epidemic._replica(job, i) == (rows, len(infected))
+
+
+def test_counts_only_replicas_never_call_step(monkeypatch):
+    net = barabasi_albert(40, 2, seed=5)
+    p = EpidemicParams("SID", beta=0.3, delta1=0.1, tau=0.2, gamma=0.3)
+    job = (net, {0, 7}, p, 30, "fixed_ticks", 9)
+    expected = [failprop.epidemic._replica(job, i) for i in range(1, 4)]
+
+    def no_step(*args):
+        raise AssertionError("step called")
+
+    monkeypatch.setattr(failprop.epidemic, "step", no_step)
+    assert [failprop.epidemic._replica(job, i) for i in range(1, 4)] == expected
+
+
+@pytest.mark.parametrize("stop", ("absorb", "fixed_ticks"))
+def test_monte_carlo_steps_only_replica_0(monkeypatch, stop):
+    calls = []
+    original = failprop.epidemic.step
+
+    def counting_step(net, sv, p, rng):
+        calls.append(sv.tick)
+        return original(net, sv, p, rng)
+
+    monkeypatch.setattr(failprop.epidemic, "step", counting_step)
+    p = EpidemicParams("SIS", beta=0.3, delta1=0.4)
+    agg = monte_carlo(ring(12), {0, 6}, p, 60, stop, n_runs=4, base_seed=2, n_jobs=1)
+    # one call per tick replica 0 simulated: none for the rows carried past
+    # its absorption, none for replicas 1..3
+    simulated = [t for t, _, i, _, d in agg.replica0.counts if i or d]
+    assert calls == simulated and len(simulated) < 60  # replica 0 absorbed early
+
+
+@settings(deadline=None)
 @given(st.data(), networks(), st.lists(params(), min_size=1, max_size=4),
        st.integers(0, 2**32))
 def test_step_carries_the_counts_of_its_states(data, net, ps, seed):
@@ -501,6 +548,7 @@ def test_one_pool_per_command_and_no_worker_left(monkeypatch):
         return started[:]
 
     monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool sizes below, on any host
     p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
     sweep = (ring(10), {0}, p)
     assert pools(threshold_sweep, *sweep, [0.1, 0.2, 0.3], n_runs=3, max_ticks=20,
@@ -572,6 +620,7 @@ def test_caller_failure_inside_the_pool_block_leaves_no_worker(pool_starts, monk
         raise EpidemicError("replica 0 failed")
 
     monkeypatch.setattr(failprop.epidemic, "run", failing_run)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2, on any host
     p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
     with pytest.raises(EpidemicError, match="replica 0 failed"):
         monte_carlo(ring(10), {0}, p, 20, n_runs=4, n_jobs=2)

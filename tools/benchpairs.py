@@ -2,17 +2,21 @@
 
     python3 tools/benchpairs.py PARENT CHANGE --workload cascade-grid \\
         --pairs 10 --seconds 8 [--seed 1] [--json pairs.json]
+    python3 tools/benchpairs.py PARENT CHANGE --workload all --pairs 10
 
 PARENT and CHANGE are checkout directories, each with its own perfbench/
 and src/. A pair runs `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` once in each, one subprocess at a time; the parent
 goes first in even pairs (counting from 0) and the change in odd ones.
+With `--workload all`, each run times every workload for T seconds.
 Before every run, every `__pycache__` directory and `.perfbench` under
 both checkouts is removed, so no run reads what an earlier one left.
 
 For each end-to-end metric that PARENT/BENCHMARK.json declares, prints
 both medians, the parent's interquartile range (statistics.quantiles,
-n=4, inclusive) and the pairs the change won (a tie counts for neither).
+n=4, inclusive) and the pairs the change won (a tie counts for neither);
+with `all`, one row per workload and metric, named `<workload>.<metric>`
+as perfbench names them.
 --json also writes every run's metrics, in run order, with the summary.
 """
 
@@ -50,6 +54,16 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def metric_rows(bench: dict, workload: str) -> list[dict]:
+    """The end-to-end metrics of BENCHMARK.json under the names a run of
+    `workload` reports them: `<workload>.<metric>` for `all`."""
+    metrics = bench["end_to_end"]
+    if workload != "all":
+        return metrics
+    return [{**m, "name": f"{w['name']}.{m['name']}"}
+            for w in bench["workloads"] for m in metrics]
+
+
 def summarise(metrics: list[dict], pairs: list[dict]) -> dict:
     out = {}
     for m in metrics:
@@ -79,7 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    metrics = json.loads((roots["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = metric_rows(json.loads((roots["parent"] / "BENCHMARK.json").read_text()),
+                          args.workload)
+    walls = [m["name"] for m in metrics if m["name"].endswith("wall_s")]
 
     pairs = []
     for i in range(args.pairs):
@@ -90,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
             pair[side] = run_once(roots[side], args.workload, args.seed, args.seconds)
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs}: " + "  ".join(
-            f"{side} wall_s={pair[side]['metrics']['wall_s']['value']:.4f}"
-            for side in ("parent", "change")), file=sys.stderr)
+            f"{side} {name}={pair[side]['metrics'][name]['value']:.4f}"
+            for name in walls for side in ("parent", "change")), file=sys.stderr)
 
     summary = summarise(metrics, pairs)
     correct = all(p[side]["correct"] for p in pairs for side in roots)
@@ -99,11 +115,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"{sum(p[side]['attempted'] for p in pairs)}" for side in roots}
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, all correct: {correct}, "
           f"failed operations: parent {failed['parent']}, change {failed['change']}")
-    print(f"{'metric':<13}{'parent':>10}{'change':>10}{'change %':>10}{'parent IQR':>12}"
+    width = max(13, *(len(name) + 1 for name in summary))
+    print(f"{'metric':<{width}}{'parent':>10}{'change':>10}{'change %':>10}{'parent IQR':>12}"
           f"{'wins':>7}")
     for name, s in summary.items():
         pct = 100 * (s["change_median"] / s["parent_median"] - 1) if s["parent_median"] else 0.0
-        print(f"{name:<13}{s['parent_median']:>10.4f}{s['change_median']:>10.4f}{pct:>+9.1f}%"
+        print(f"{name:<{width}}{s['parent_median']:>10.4f}{s['change_median']:>10.4f}{pct:>+9.1f}%"
               f"{s['parent_iqr']:>12.4f}{s['wins']:>4}/{args.pairs}")
     if args.json:
         args.json.write_text(json.dumps({
