@@ -36,7 +36,7 @@ from math import isfinite
 from operator import add, indexOf
 from typing import NamedTuple
 
-from .topology import CONTROLLER, EDGE_SWITCH, SWITCH_ROLES, Network
+from .topology import CONTROLLER, EDGE_SWITCH, SWITCH_ROLES, Network, _fmt
 
 INF = float("inf")
 
@@ -55,13 +55,6 @@ class Injection(NamedTuple):
     entry: int
     exit: int
     volume: float
-
-
-def _fmt(x) -> str:
-    # compact numbers for CSV/JSON text: 180.0 -> "180", inf -> "inf"
-    if float(x).is_integer():
-        return str(int(x))
-    return repr(float(x))
 
 
 def _check_map(name: str, mapping: dict):
@@ -463,6 +456,19 @@ class CascadeTrace:
     rounds: tuple = ()
     terminal: VerticalTerminal | HorizontalTerminal | None = None
     warnings: tuple[str, ...] = ()
+
+    def failed_fraction(self) -> float:
+        """Terminal failed share of the network for either cascade kind.
+
+        Vertical counts failed controllers plus orphaned switches (a switch
+        with no live controller is failed for service purposes even though
+        its hardware is up); horizontal counts overloaded nodes.
+        """
+        t = self.terminal
+        n = self.net.node_count
+        if self.kind == "vertical":
+            return (len(t.failed_controllers) + len(t.orphaned_switches)) / n
+        return len(t.failed_nodes) / n
 
     def csv(self) -> str:
         """Per-round per-subject rows: round,<id>,load,capacity,status."""

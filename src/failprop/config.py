@@ -18,10 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cascades import Demand, HorizontalScenario, Injection, VerticalScenario, _fmt
-from .epidemic import EpidemicParams
-from .topology import Network, TopologyError, generate_topology, load_edge_list, split_sections
+from .topology import (
+    Network, TopologyError, _fmt, generate_topology, load_edge_list, split_sections,
+)
+
+if TYPE_CHECKING:  # the engines load where a config first needs them, not here
+    from .cascades import HorizontalScenario, VerticalScenario
+    from .epidemic import EpidemicParams
 
 PRESET_DIR = Path(__file__).parent / "presets"
 
@@ -183,6 +188,8 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
         raise ConfigError("config may declare [model] or [scenario], not both")
 
     if "model" in sections:
+        from .epidemic import EpidemicParams
+
         kv = _kv(sections["model"], "model",
                  ("model", "beta", "delta1", "tau", "gamma", "seeds"))
         if "model" not in kv:
@@ -357,6 +364,8 @@ def _node_values(net: Network, lines, name: str) -> dict[int, float]:
 
 
 def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScenario:
+    from .cascades import VerticalScenario
+
     capacity = _node_values(net, cfg.capacity_lines, "capacity")
     rate = _node_values(net, cfg.rate_lines, "rate")
     attack = None
@@ -367,6 +376,8 @@ def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScen
 
 
 def build_horizontal_scenario(cfg: ExperimentConfig, net: Network) -> HorizontalScenario:
+    from .cascades import Demand, HorizontalScenario, Injection
+
     capacity = _node_values(net, cfg.capacity_lines, "capacity")
     demands = tuple(
         Demand(

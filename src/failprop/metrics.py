@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .cascades import CascadeTrace, _fmt
 from .epidemic import (
     D,
     EpidemicParams,
@@ -15,7 +15,10 @@ from .epidemic import (
     monte_carlo,
 )
 from .rng import derive_seed
-from .topology import Network, connected_components
+from .topology import Network, _fmt, connected_components
+
+if TYPE_CHECKING:  # for the annotation only: epidemic runs never load cascades
+    from .cascades import CascadeTrace
 
 
 class MetricsError(ValueError):
@@ -72,17 +75,8 @@ def stabilization_time(trace: SimulationTrace) -> StabilizationResult:
 
 
 def failed_fraction(trace: CascadeTrace) -> float:
-    """Terminal failed share of the network for either cascade kind.
-
-    Vertical counts failed controllers plus orphaned switches (a switch
-    with no live controller is failed for service purposes even though
-    its hardware is up); horizontal counts overloaded nodes.
-    """
-    t = trace.terminal
-    n = trace.net.node_count
-    if trace.kind == "vertical":
-        return (len(t.failed_controllers) + len(t.orphaned_switches)) / n
-    return len(t.failed_nodes) / n
+    """Terminal failed share of the network; see `CascadeTrace.failed_fraction`."""
+    return trace.failed_fraction()
 
 
 @dataclass(frozen=True)

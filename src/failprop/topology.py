@@ -41,6 +41,13 @@ class GeneratorParamError(TopologyError):
     """A bad generator name or argument: a usage error, exit code 2."""
 
 
+def _fmt(x) -> str:
+    # compact numbers for CSV/JSON/config text: 180.0 -> "180", inf -> "inf"
+    if float(x).is_integer():
+        return str(int(x))
+    return repr(float(x))
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable two-plane graph. Safe to share across concurrent runs.

@@ -57,7 +57,8 @@ def test_ac01_isolated_node_occupancy_matches_stationary_distribution():
     sv = initial_state(net, {0})
     ticks = 10 ** 6
     occ = {"S": 0, "I": 0, "R": 0, "D": 0}
-    start = time.monotonic()
+    # CPU time of this process, which other load on the host does not inflate
+    start = time.process_time()
     for _ in range(ticks):
         state = sv.states[0]
         occ[state] += 1
@@ -65,7 +66,7 @@ def test_ac01_isolated_node_occupancy_matches_stationary_distribution():
             sv = StateVector(states=("I",), tick=sv.tick + 1)
         else:
             sv = step(net, sv, p, rng)
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
 
     assert occ["R"] == 0
     assert abs(occ["S"] / ticks - pi_s) <= 0.005

@@ -3,8 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from failprop.cli import main
-from failprop.topology import load_edge_list, validate
+from failprop.cli import build_parser, main
+from failprop.topology import (
+    barabasi_albert,
+    erdos_renyi,
+    load_edge_list,
+    ring,
+    serialize_edge_list,
+    validate,
+)
 
 SI_RING_CFG = """
 [topology]
@@ -434,16 +441,66 @@ def test_config_generate_errors_exit_2(tmp_path, capsys, generate, msg):
     assert not out.exists()
 
 
-def test_gen_non_numeric_parameter_is_an_argparse_error(tmp_path, capsys):
+@pytest.mark.parametrize("token", ["x", "1_0", "\u0661\u0660", "nan"])
+def test_gen_parameter_outside_the_config_number_grammar_exits_2(tmp_path, capsys, token):
+    # the grammar of generate=: `_` digit groups and non-ASCII digits, which
+    # float() would read as 10, are errors that quote the token
     path = tmp_path / "r.edges"
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "ring", "x", "--out", str(path)])
-    assert exc.value.code == 2
-    assert "invalid float value: 'x'" in capsys.readouterr().err
+    assert main(["gen", "ring", token, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"gen parameter must be {'finite' if token == 'nan' else 'a number'}, got {token!r}" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,net", [
+    (["ring", "10"], ring(10)),
+    (["er", "50", "0.1"], erdos_renyi(50, 0.1, 0)),
+    (["ba", "30", "2", "--seed", "9"], barabasi_albert(30, 2, 9)),
+])
+def test_gen_writes_the_generator_s_graph(tmp_path, argv, net):
+    path = tmp_path / "g.edges"
+    assert main(["gen", *argv, "--out", str(path)]) == 0
+    assert read(path) == serialize_edge_list(net)
 
 
 def test_gen_without_out_writes_kind_edges_under_the_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("FAILPROP_OUT", str(tmp_path / "graphs"))
     assert main(["gen", "ring", "5"]) == 0
     assert load_edge_list(read(tmp_path / "graphs" / "ring.edges")).node_count == 5
+
+
+@pytest.mark.parametrize("error,code,msg", [
+    ("ConfigError", 2, "failprop: error: config 'no-such-preset': no such file"),
+    ("EpidemicError", 2, "failprop: error: beta must be in [0, 1], got 1.5"),
+    ("ScenarioError", 2, "failprop: error: network has no controller nodes"),
+    ("MetricsError", 2, "failprop: error: grid must be strictly increasing"),
+    ("GeneratorParamError", 2, "failprop: error: barabasi_albert needs 1 <= m < n"),
+    ("TopologyError", 3, "failprop: error: line 1:"),
+    ("FileExistsError", 4, "failprop: unexpected error: FileExistsError("),
+])
+def test_each_error_class_has_its_exit_code_and_message(tmp_path, capsys, error, code, msg):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "bad.edges").write_text("0 1 extra\n")
+    out = ["--out", str(tmp_path / "o")]
+    configs = {
+        "EpidemicError": SI_RING_CFG.replace("beta=0.7", "beta=1.5"),
+        "ScenarioError": "[topology]\ngenerate=ring:5\n[scenario]\nkind=vertical\n"
+                         "[capacity]\n0=10\n",
+        "MetricsError": SWEEP_CFG.replace("grid=0.1,0.4,0.8", "grid=0.4,0.1"),
+    }
+    cfg = write_cfg(tmp_path, configs[error]) if error in configs else None
+    argv = {
+        "ConfigError": ["epidemic", "--config", "no-such-preset", *out],
+        "EpidemicError": ["epidemic", "--config", cfg, *out],
+        "ScenarioError": ["cascade", "--config", cfg, *out],
+        "MetricsError": ["sweep", "--config", cfg, *out],
+        "GeneratorParamError": ["gen", "ba", "5", "9", *out],
+        "TopologyError": ["validate", str(tmp_path / "bad.edges")],
+        "FileExistsError": ["gen", "ring", "5", "--out", str(tmp_path / "file" / "r.edges")],
+    }[error]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(Exception) as exc:  # the command raises exactly `error`
+        args.func(args)
+    assert type(exc.value).__name__ == error
+    assert main(argv) == code
+    assert msg in capsys.readouterr().err
