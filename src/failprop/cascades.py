@@ -19,10 +19,11 @@ because a round only ever removes nodes (or controllers):
   shrunk; an unreachable destination stays unreachable. Loads are still
   summed afresh in flow order, so every float is the same.
 * A switch keeps its controller unless that controller has failed: its
-  earlier preferences were already down and stay down. So a live
-  controller only gains switches, and only one that gained is summed
-  again, with the same float additions as a full recount (see
-  `run_vertical`).
+  earlier preferences were already down and stay down. So only the
+  switches of the controllers that just failed are passed to
+  `assign_switches` again, a live controller only gains switches, and
+  only one that gained is summed again, with the same float additions as
+  a full recount (see `run_vertical`).
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ import json
 from bisect import bisect
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, filterfalse, repeat
 from math import isfinite
 from operator import add, indexOf
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .topology import CONTROLLER, EDGE_SWITCH, SWITCH_ROLES, Network, _fmt
+from .topology import CONTROLLER, EDGE_SWITCH, SWITCH_ROLES, InputError, Network, _fmt
 
 INF = float("inf")
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     pass
 
 
@@ -168,24 +169,13 @@ def validate_horizontal(net: Network, sc: HorizontalScenario) -> list[str]:
 # vertical: controller failover overload
 
 def assign_switches(net: Network, failed_controllers: set[int],
-                    prev: dict[int, int | None] | None = None) -> dict[int, int | None]:
-    """Map each switch to its first live preferred controller, else None.
-
-    `prev` is an assignment made under a subset of `failed_controllers`;
-    given it, only switches whose controller has since failed are
-    reassigned, which yields the same map (in the same switch order).
-    """
+                    switches: Iterable[int] | None = None) -> dict[int, int | None]:
+    """Map each of `switches` (default: every switch, in id order) to its
+    first live preferred controller, else None, in the order given."""
     down = failed_controllers.__contains__
-    if prev is None:
-        out: dict[int, int | None] = {}
-        stale = net.switches()
-    else:
-        out = dict(prev)
-        stale = compress(prev, map(down, prev.values()))
     prefs = net.controller_prefs
-    for sw in stale:
-        out[sw] = next(filterfalse(down, prefs.get(sw, ())), None)
-    return out
+    return {sw: next(filterfalse(down, prefs.get(sw, ())), None)
+            for sw in (net.switches() if switches is None else switches)}
 
 
 @dataclass(frozen=True)
@@ -209,7 +199,7 @@ class VerticalTerminal:
 def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
     """Iterate failover and overload to the fixed point.
 
-    Each round reassigns the switches whose controller failed, sums
+    Each round reassigns the switches whose controller just failed, sums
     effective request rates per live controller in switch order, and
     fails all controllers strictly over capacity at once. The loop always
     ends with one quiet round and never needs more than
@@ -227,13 +217,11 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
     # per controller: its switches in switch order, and their rates
     held: dict[int, tuple[list[int], list[float]]] = {c: ([], []) for c in controllers}
     total: dict[int, float] = dict.fromkeys(controllers, 0.0)
-    moved = switches  # the switches that pick a controller this round
-    assignment = None
+    # the switches that pick a controller this round, and their picks
+    picked = assignment = assign_switches(net, failed)
     while True:
-        assignment = assign_switches(net, failed, assignment)
         gained = set()
-        for sw in moved:
-            c = assignment[sw]
+        for sw, c in picked.items():
             if c is not None:
                 ids, rates = held[c]
                 i = bisect(ids, sw)
@@ -256,7 +244,8 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
         if not now:
             break
         failed |= now
-        moved = chain.from_iterable(held.pop(c)[0] for c in now)
+        picked = assign_switches(net, failed, chain.from_iterable(held.pop(c)[0] for c in now))
+        assignment = {**assignment, **picked}  # every key is already there: order kept
     assert len(rounds) <= len(controllers) + 1
     last = rounds[-1]
     terminal = VerticalTerminal(

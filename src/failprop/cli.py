@@ -24,6 +24,7 @@ from pathlib import Path
 from . import config as cfgmod
 from .config import ConfigError, ExperimentConfig
 from .topology import (
+    InputError,
     TopologyError,
     generate_topology,
     serialize_edge_list,
@@ -301,28 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# module -> its error class for bad input (exit 2); a TopologyError of any
-# other kind is exit 3. An engine's class is looked up only once the engine
-# is loaded: an engine a command never imported raised nothing.
-_INPUT_ERRORS = {
-    "config": "ConfigError",
-    "epidemic": "EpidemicError",
-    "cascades": "ScenarioError",
-    "metrics": "MetricsError",
-    "topology": "GeneratorParamError",
-}
-
-
-def _input_errors() -> tuple[type[Exception], ...]:
-    loaded = {m: sys.modules.get(f"{__package__}.{m}") for m in _INPUT_ERRORS}
-    return tuple(getattr(loaded[m], name) for m, name in _INPUT_ERRORS.items() if loaded[m])
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _input_errors() as exc:
+    except InputError as exc:  # first: a GeneratorParamError is a TopologyError too
         _say(f"failprop: error: {exc}")
         return EXIT_CONFIG
     except TopologyError as exc:

@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .topology import (
-    Network, TopologyError, _fmt, generate_topology, load_edge_list, split_sections,
+    InputError, Network, TopologyError, _fmt, generate_topology, load_edge_list,
+    split_sections,
 )
 
 if TYPE_CHECKING:  # the engines load where a config first needs them, not here
@@ -39,7 +40,7 @@ _SCENARIO_SECTIONS = {"rate": ("vertical",), "attack": ("vertical",), "demand": 
                       "injection": ("horizontal",), "capacity": ("vertical", "horizontal")}
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 

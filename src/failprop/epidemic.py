@@ -46,7 +46,7 @@ from functools import partial
 from itertools import chain, repeat, starmap
 
 from .rng import derive_seed
-from .topology import Network
+from .topology import InputError, Network
 
 S = "S"
 I = "I"
@@ -64,7 +64,7 @@ _LEGAL = {
 }
 
 
-class EpidemicError(ValueError):
+class EpidemicError(InputError):
     pass
 
 
@@ -295,6 +295,7 @@ def run(
     (still capped by max_ticks); stop="fixed_ticks" always produces rows
     for ticks 0..max_ticks. Identical arguments give identical traces.
     """
+    seeds = _check_run(net, seeds, max_ticks, stop)
     counts, events, final, _ = _simulate(net, seeds, p, max_ticks, stop, rng_seed, True)
     return SimulationTrace(net.node_count, p.model, counts, events, final)
 
@@ -318,12 +319,12 @@ def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) 
 
 def _simulate(net, seeds, p, max_ticks, stop, rng_seed, log):
     """The tick loop of `run` (log=True: `step` every tick, for the event
-    log) and `_replica` (log=False: `_advance` over one state list).
+    log) and `_replica` (log=False: `_advance` over one state list), from
+    seed ids that `_check_run` returned.
 
     Returns the (tick, S, I, R, D) rows, the event log and final states
     (None without a log), and the number of distinct nodes ever infected.
     """
-    seeds = _check_run(net, seeds, max_ticks, stop)
     sv = initial_state(net, seeds)
     rng = random.Random(rng_seed)
     counts = sv._counts
@@ -466,7 +467,8 @@ def monte_carlo(
 
 
 def _replica(job, i):
-    """Replica i of a batch as (counts rows, number of nodes ever infected)."""
+    """Replica i of a batch as (counts rows, number of nodes ever infected);
+    `monte_carlo` checked the batch's arguments once for every replica."""
     net, seeds, p, max_ticks, stop, base_seed = job
     counts, _, _, infected = _simulate(net, seeds, p, max_ticks, stop,
                                        derive_seed(base_seed, i), False)

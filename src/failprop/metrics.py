@@ -15,13 +15,13 @@ from .epidemic import (
     monte_carlo,
 )
 from .rng import derive_seed
-from .topology import Network, _fmt, connected_components
+from .topology import InputError, Network, _fmt, connected_components
 
 if TYPE_CHECKING:  # for the annotation only: epidemic runs never load cascades
     from .cascades import CascadeTrace
 
 
-class MetricsError(ValueError):
+class MetricsError(InputError):
     pass
 
 

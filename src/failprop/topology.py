@@ -33,11 +33,15 @@ SWITCH_ROLES = (EDGE_SWITCH, CORE_SWITCH)
 _ROLE_SET = frozenset(ROLES)
 
 
+class InputError(ValueError):
+    """Bad parameters or config: the base of each usage error (CLI exit 2)."""
+
+
 class TopologyError(ValueError):
     """Bad graph input: parse errors, invariant violations, bad parameters."""
 
 
-class GeneratorParamError(TopologyError):
+class GeneratorParamError(TopologyError, InputError):
     """A bad generator name or argument: a usage error, exit code 2."""
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from failprop.cascades import (
@@ -80,6 +82,16 @@ def test_scenario_rejects_bad_numbers():
         HorizontalScenario({}, injection=(0, 1, INF))
 
 
+@pytest.mark.parametrize("make,msg", [
+    (lambda: VerticalScenario({"7": 1.0}, {}), "controller_capacity key '7' is not a node id"),
+    (lambda: HorizontalScenario({1.0: 5.0}), "node_capacity key 1.0 is not a node id"),
+    (lambda: VerticalScenario({}, {}, attack=("0", 5.0)), "attack target '0' is not a node id"),
+], ids=["map-key", "float-key", "attack-target"])
+def test_scenario_rejects_an_id_that_is_not_an_int(make, msg):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(msg)}$"):
+        make()
+
+
 def test_validate_vertical_role_checks():
     net = star_net(2, {0: [0], 1: [0]})  # switches 0,1; controller 2
     sc = VerticalScenario({2: 10.0}, {0: 1.0, 1: 1.0})
@@ -128,6 +140,10 @@ def test_validate_horizontal_checks():
     # injection endpoints that are not edge switches: warned, not fatal
     warnings = validate_horizontal(net, HorizontalScenario({}, injection=(1, 3, 2.0)))
     assert len(warnings) == 2
+    with pytest.raises(ScenarioError, match=r"^capacity key 5 is not a node id$"):
+        validate_horizontal(net, HorizontalScenario({5: 1.0}))
+    with pytest.raises(ScenarioError, match=r"^injection entry and exit are both 0$"):
+        validate_horizontal(net, HorizontalScenario({}, injection=(0, 0, 2.0)))
     ctrl = load_edge_list("0 1\n1 2\n[roles]\n2=controller\n")
     with pytest.raises(ScenarioError, match="controller"):
         validate_horizontal(ctrl, HorizontalScenario({}, demands=[(0, 2, 1.0)]))

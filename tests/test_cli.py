@@ -183,7 +183,49 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "trace.csv").is_file()
 
 
+def test_out_dir_from_the_config_is_relative_to_the_config(tmp_path, monkeypatch):
+    # [output] dir= comes before FAILPROP_OUT
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FAILPROP_OUT", str(tmp_path / "envout"))
+    (tmp_path / "cfgs").mkdir()
+    cfg = write_cfg(tmp_path / "cfgs", SI_RING_CFG + "\n[output]\ndir=res\n")
+    assert main(["epidemic", "--config", cfg]) == 0
+    assert (tmp_path / "cfgs" / "res" / "trace.csv").is_file()
+    assert not (tmp_path / "envout").exists()
+
+
+def test_out_dir_defaults_to_out_in_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FAILPROP_OUT", raising=False)
+    cfg = write_cfg(tmp_path, SI_RING_CFG)
+    assert main(["epidemic", "--config", cfg]) == 0
+    assert (tmp_path / "out" / "trace.csv").is_file()
+
+
+@pytest.mark.parametrize("command", ["epidemic", "sweep"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    assert main([command, "--config", cfg, "--jobs", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "failprop: error: --jobs must be >= 1, got 0\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # --- cascade -----------------------------------------------------------------
+
+def test_cascade_prints_each_warning_to_stderr(tmp_path, capsys):
+    # the generated ring has no roles, so neither injection endpoint is an
+    # edge switch: the run goes on, and says so
+    cfg = write_cfg(tmp_path, "[topology]\ngenerate=ring:6\n[scenario]\nkind=horizontal\n"
+                              "[injection]\n0,3,1\n")
+    out = tmp_path / "o"
+    assert main(["cascade", "--config", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == ["warning: injection endpoint 0 is not an edge switch",
+                       "warning: injection endpoint 3 is not an edge switch"]
+    assert err[2].startswith("cascade horizontal: 0 node(s) failed")
+    assert json.loads(read(out / "summary.json"))["warnings"] == [
+        w.removeprefix("warning: ") for w in err[:2]]
+
 
 def test_cascade_vertical_preset(tmp_path):
     out = tmp_path / "v"
@@ -278,6 +320,12 @@ def test_sweep_writes_csv_rows(tmp_path):
     assert lines[-1].startswith("threshold_estimate=")
     summary = json.loads(read(out / "summary.json"))
     assert summary["grid"] == [0.1, 0.4, 0.8]
+
+
+def test_sweep_without_model_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[topology]\ngenerate=ring:8\n[sweep]\ngrid=0.1,0.4\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "failprop: error: sweep needs a [model] section\n" in capsys.readouterr().err
 
 
 def test_sweep_without_grid_exits_2(tmp_path):

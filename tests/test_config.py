@@ -124,6 +124,10 @@ def test_parse_validates_run_values():
         parse_config("[run]\nepsilon=2\n")
     with pytest.raises(ConfigError, match="must be an integer"):
         parse_config("[run]\nn_runs=many\n")
+    with pytest.raises(ConfigError, match=r"^n_runs must be >= 1, got 0$"):
+        parse_config("[run]\nn_runs=0\n")
+    with pytest.raises(ConfigError, match=r"^n_jobs must be >= 1, got 0$"):
+        parse_config("[run]\nn_jobs=0\n")
     # the first bad line in file order, whichever key it sets
     with pytest.raises(ConfigError, match="n_runs must be an integer, got 'x'"):
         parse_config("[run]\nn_runs=x\nmax_ticks=y\n")
@@ -191,11 +195,20 @@ def test_seeds_are_64_bit(section, key, value, ok):
         assert str(err.value) == f"{key} must be in [0, 2**64), got '{value}'"
 
 
+def test_parse_model_needs_model_and_beta():
+    with pytest.raises(ConfigError, match=r"^\[model\] needs model=$"):
+        parse_config("[model]\nbeta=0.1\nseeds=0\n")
+    with pytest.raises(ConfigError, match=r"^\[model\] needs beta=$"):
+        parse_config("[model]\nmodel=SI\nseeds=0\n")
+
+
 def test_parse_scenario_section_constraints():
     with pytest.raises(ConfigError, match="kind"):
         parse_config("[scenario]\nkind=diagonal\n")
     with pytest.raises(ConfigError, match="misroute"):
         parse_config("[scenario]\nkind=vertical\nmisroute=true\n")
+    with pytest.raises(ConfigError, match=r"^misroute must be true or false, got 'maybe'$"):
+        parse_config("[scenario]\nkind=horizontal\nmisroute=maybe\n")
     with pytest.raises(ConfigError, match="requires a \\[scenario\\]"):
         parse_config("[capacity]\n0=5\n")
     with pytest.raises(ConfigError, match="does not belong"):

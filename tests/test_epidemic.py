@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -238,16 +239,32 @@ def test_step_rejects_bad_input():
 # --- full runs ---------------------------------------------------------------
 
 def test_run_rejects_bad_arguments():
-    net = ring(4)
+    # run checks its own arguments, monte_carlo its batch's once, before any
+    # replica starts; both name the first bad one in the same words
     p = EpidemicParams("SI", beta=0.5)
-    with pytest.raises(EpidemicError, match="seeds"):
-        run(net, set(), p, 10)
-    with pytest.raises(EpidemicError, match="max_ticks"):
-        run(net, {0}, p, 0)
-    with pytest.raises(EpidemicError, match="seed 9"):
-        run(net, {9}, p, 10)
-    with pytest.raises(EpidemicError, match="stop"):
-        run(net, {0}, p, 10, stop="never")
+    for seeds, max_ticks, stop, msg in [
+        ({0}, 10, "never", "stop must be 'absorb' or 'fixed_ticks', got 'never'"),
+        ({0}, 0, "absorb", "max_ticks must be >= 1, got 0"),
+        (set(), 10, "absorb", "seeds must be nonempty"),
+        ({0, 9}, 10, "absorb", "seed 9 is not a node id"),
+        ({-1}, 10, "absorb", "seed -1 is not a node id"),
+    ]:
+        for entry in (run, monte_carlo):
+            with pytest.raises(EpidemicError, match=f"^{re.escape(msg)}$"):
+                entry(ring(4), seeds, p, max_ticks, stop)
+
+
+@pytest.mark.parametrize("seeds,msg", [([4], "seed 4 is not a node id"),
+                                       ([0, -2], "seed -2 is not a node id")])
+def test_initial_state_names_a_seed_that_is_not_a_node(seeds, msg):
+    with pytest.raises(EpidemicError, match=f"^{re.escape(msg)}$"):
+        initial_state(ring(4), seeds)
+
+
+def test_derive_seed_rejects_a_negative_replica_index():
+    assert derive_seed(3, 0) != derive_seed(3, 1)
+    with pytest.raises(ValueError, match=r"^replica index must be >= 0$"):
+        derive_seed(3, -1)
 
 
 def test_run_tick0_reflects_seeds():

@@ -958,16 +958,18 @@ def test_incremental_loads_match_recompute_over_shrinking_alive_sets(data, case)
 @settings(deadline=None)
 @given(st.data(), vertical_cases())
 def test_incremental_assignment_matches_full_over_growing_failed_sets(data, case):
+    # any switches, in any order and passed once as an iterator, get the
+    # oracle's pick for each, in the order given; the default is every switch
     net, _ = case
     ctrls = list(net.controllers())
     failed = set()
-    prev = None
     for _ in range(data.draw(st.integers(1, 5))):
-        got = assign_switches(net, failed, prev)
         expected = reference_assign_switches(net, failed)
-        assert list(got.items()) == list(expected.items())
-        assert assign_switches(net, failed) == expected
-        prev = got
+        assert list(assign_switches(net, failed).items()) == list(expected.items())
+        some = data.draw(st.permutations(net.switches()))
+        some = some[:data.draw(st.integers(0, len(some)))]
+        got = assign_switches(net, failed, iter(some))
+        assert list(got.items()) == [(sw, expected[sw]) for sw in some]
         failed = failed | data.draw(st.sets(st.sampled_from(ctrls)))
 
 
@@ -1086,12 +1088,9 @@ def test_vertical_failed_set_is_monotone_in_switch_rates(data, case):
     assert low <= high
 
 
-def test_vertical_run_with_2000_switches_matches_the_oracle_bit_for_bit():
-    # The drawn cases have at most 8 switches, and the benchmark's rates
-    # are integers, whose sums are exact in any order. Here each of 32
-    # controllers holds dozens of switches with rates like 1.377, which no
-    # binary float holds exactly, so a load summed in another order than
-    # switch order differs in its last bits.
+def vertical_2000():
+    """32 controllers, 2000 switches with 6 preferences each and rates like
+    1.377, and an attacked switch that overloads its controllers in turn."""
     rng = random.Random(2000)
     n_ctrl, n_sw = 32, 2000
     ctrls = list(range(n_ctrl))
@@ -1108,13 +1107,47 @@ def test_vertical_run_with_2000_switches_matches_the_oracle_bit_for_bit():
     # the attacked switch overloads each of its 6 controllers in turn; the
     # others absorb their switches
     caps = {c: round(mean * rng.uniform(1.5, 2.0), 3) for c in ctrls}
-    sc = VerticalScenario(caps, rates, (rng.choice(switches), 2.5 * mean))
+    return net, VerticalScenario(caps, rates, (rng.choice(switches), 2.5 * mean))
+
+
+def test_vertical_run_with_2000_switches_matches_the_oracle_bit_for_bit():
+    # The drawn cases have at most 8 switches, and the benchmark's rates
+    # are integers, whose sums are exact in any order. Here each of 32
+    # controllers holds dozens of switches with rates like 1.377, which no
+    # binary float holds exactly, so a load summed in another order than
+    # switch order differs in its last bits.
+    net, sc = vertical_2000()
     got, expected = run_vertical(net, sc), reference_run_vertical(net, sc)
     assert len(expected.rounds) >= 4
-    assert 0 < len(expected.terminal.failed_controllers) < n_ctrl
+    assert 0 < len(expected.terminal.failed_controllers) < len(net.controllers())
     check_same_trace(got, expected)
     for a, b in zip(got.rounds, expected.rounds):
         assert list(a.assignment.items()) == list(b.assignment.items())
+
+
+def test_vertical_run_reassigns_the_switches_of_the_failed_controllers(monkeypatch):
+    # the model fixes what assign_switches is given, and the benchmark's
+    # tracer counts its calls: round 1 maps every switch, and round r > 1
+    # exactly the switches whose round r - 1 controller failed in round r - 1
+    net, sc = vertical_2000()
+    calls = []
+
+    def recording_assign(net, failed_controllers, switches=None):
+        if switches is not None:
+            switches = list(switches)
+        calls.append(switches)
+        return assign_switches(net, failed_controllers, switches)
+
+    monkeypatch.setattr(failprop.cascades, "assign_switches", recording_assign)
+    trace = run_vertical(net, sc)
+    rounds = reference_run_vertical(net, sc).rounds
+    assert len(rounds) >= 4
+    assert len(calls) == len(trace.rounds) == len(rounds)
+    assert calls[0] is None
+    for prev, got in zip(rounds, calls[1:]):
+        expected = [sw for sw, c in prev.assignment.items() if c in prev.failed_now]
+        assert expected
+        assert sorted(got) == expected
 
 
 def reference_terminal_json(trace):

@@ -106,6 +106,13 @@ def test_network_rejects_bad_construction():
         Network.from_edges(3, [(0, 5)])
     with pytest.raises(TopologyError, match="role"):
         Network.from_edges(2, [(0, 1)], roles={0: "router"})
+    with pytest.raises(TopologyError, match=r"^node_count must be >= 1$"):
+        Network(0, (), frozenset())
+    with pytest.raises(TopologyError, match=r"^roles has 2 entries for 3 nodes$"):
+        Network(3, ("generic",) * 2, frozenset())
+    for v in (3, -1):
+        with pytest.raises(TopologyError, match=rf"^unknown node id {v}$"):
+            ring(3).neighbors(v)
 
 
 @pytest.mark.parametrize("edges,msg", [
@@ -461,6 +468,8 @@ def test_split_sections_keeps_line_numbers_and_drops_blanks():
     ("er", [10, 1.5], "erdos_renyi needs 0 <= p <= 1"),
     ("ba", [5, 9], "barabasi_albert needs 1 <= m < n"),
     ("ba", [10, 2.5], "parameter m must be an integer"),
+    ("er", [1, 0.5], "erdos_renyi needs n >= 2"),
+    ("ba", [1, 1], "barabasi_albert needs n >= 2"),
 ])
 def test_every_bad_generator_argument_is_a_generator_param_error(kind, params, msg):
     with pytest.raises(GeneratorParamError, match=msg):
