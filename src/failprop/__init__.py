@@ -28,8 +28,8 @@ _EXPORTS = {
         "step",
     ),
     "metrics": (
-        "StabilizationResult", "SweepResult", "dp_connectivity", "failed_fraction",
-        "outbreak_size", "stabilization_time", "threshold_sweep",
+        "StabilizationResult", "SweepResult", "dp_connectivity", "outbreak_size",
+        "stabilization_time", "threshold_sweep",
     ),
     "rng": ("derive_seed", "splitmix64"),
     "topology": (

@@ -486,6 +486,19 @@ class CascadeTrace:
                 lines.append(f"{rnd.index},{subject},{load},{cap},{status}")
         return "\n".join(lines) + "\n"
 
+    def events_csv(self) -> str:
+        """One row per failure: round,event,subject; a vertical cascade also
+        lists the switches orphaned at the fixed point, under the last round."""
+        event = "controller_failed" if self.kind == "vertical" else "node_failed"
+        lines = ["round,event,subject"]
+        for rnd in self.rounds:
+            lines += [f"{rnd.index},{event},{v}" for v in sorted(rnd.failed_now)]
+        if self.kind == "vertical":
+            last = self.rounds[-1].index
+            lines += [f"{last},switch_orphaned,{sw}"
+                      for sw in sorted(self.terminal.orphaned_switches)]
+        return "\n".join(lines) + "\n"
+
     def dropped_csv(self) -> str:
         """Horizontal only: one row per (round, unroutable demand)."""
         if self.kind != "horizontal":

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 bad config or parameters, 3 topology problems,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -57,11 +58,15 @@ def _write(files: dict[Path, str]):
 
     Each text goes to a temporary name beside its target, and all are moved
     into place with os.replace (atomic within a directory) only once every
-    one is on disk; a failure removes the temporary files.
+    one is on disk; a failure removes the temporary files. A target that is
+    a directory, which os.replace cannot replace, fails here, before any
+    file is replaced.
     """
     tmps = {}
     try:
         for path, text in files.items():
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             path.parent.mkdir(parents=True, exist_ok=True)
             tmps[path] = tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             tmp.write_text(text)
@@ -81,15 +86,15 @@ def _effective(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.rng_seed = cfgmod.as_seed(args.seed, "--seed")
     if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        cfg.n_jobs = args.jobs
+        cfg.n_jobs = cfgmod._as_int(args.jobs, "--jobs")
+        if cfg.n_jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {cfg.n_jobs}")
     return cfg
 
 
 def cmd_epidemic(args) -> int:
     from .epidemic import monte_carlo
-    from .metrics import outbreak_size, stabilization_time
+    from .metrics import stabilization_time
 
     cfg = _effective(cfgmod.load_config(args.config), args)
     if cfg.model is None:
@@ -110,7 +115,7 @@ def cmd_epidemic(args) -> int:
         "replica0": {
             "final_counts": dict(zip("SIRD", tr.counts[-1][1:])),
             "final_tick": tr.final_tick,
-            "outbreak_size": outbreak_size(tr),
+            "outbreak_size": agg.outbreak_sizes[0],
             "stabilization_tick": stab.tick,
             "stabilized": stab.stabilized,
         },
@@ -130,33 +135,14 @@ def cmd_epidemic(args) -> int:
     return EXIT_OK
 
 
-def _cascade_events_csv(trace) -> str:
-    event = "controller_failed" if trace.kind == "vertical" else "node_failed"
-    lines = ["round,event,subject"]
-    for rnd in trace.rounds:
-        lines += [f"{rnd.index},{event},{v}" for v in sorted(rnd.failed_now)]
-    if trace.kind == "vertical":
-        last = trace.rounds[-1].index
-        lines += [
-            f"{last},switch_orphaned,{sw}"
-            for sw in sorted(trace.terminal.orphaned_switches)
-        ]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_cascade(args) -> int:
     from .cascades import run_horizontal, run_vertical
 
     cfg = _effective(cfgmod.load_config(args.config), args)
     if cfg.scenario_kind is None:
         raise ConfigError("cascade needs a [scenario] section")
-    kind = args.kind or cfg.scenario_kind
-    if kind != cfg.scenario_kind:
-        raise ConfigError(
-            f"--kind {kind} conflicts with config scenario kind {cfg.scenario_kind}"
-        )
     net = cfgmod.build_network(cfg)
-    if kind == "vertical":
+    if cfg.scenario_kind == "vertical":
         sc = cfgmod.build_vertical_scenario(cfg, net)
         trace = run_vertical(net, sc)
     else:
@@ -165,17 +151,17 @@ def cmd_cascade(args) -> int:
     out = _out_dir(args, cfg)
     files = {
         out / "trace.csv": trace.csv(),
-        out / "events.csv": _cascade_events_csv(trace),
+        out / "events.csv": trace.events_csv(),
         out / "summary.json": trace.terminal_json(),
         out / "resolved-config.txt": cfgmod.render_resolved(cfg, scenario=sc, aliases=net.aliases),
     }
-    if kind == "horizontal":
+    if cfg.scenario_kind == "horizontal":
         files[out / "dropped.csv"] = trace.dropped_csv()
     _write(files)
     for w in trace.warnings:
         _say(f"warning: {w}")
     t = trace.terminal
-    if kind == "vertical":
+    if cfg.scenario_kind == "vertical":
         _say(
             f"cascade vertical: {len(t.failed_controllers)} controller(s) failed, "
             f"{len(t.orphaned_switches)} switch(es) orphaned, {t.rounds} round(s), "
@@ -268,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", help="override the config rng_seed")
         p.add_argument("--out", help="output directory")
         if jobs:
-            p.add_argument("--jobs", type=int,
+            p.add_argument("--jobs",
                            help="worker processes for replicas (epidemic) or grid points "
                                 "(sweep) (default: the config's n_jobs); outputs are "
                                 "identical for any value")
@@ -279,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cascade", help="run a deterministic overload cascade")
     common(p)
-    p.add_argument("--kind", choices=("vertical", "horizontal"),
-                   help="cross-check the scenario kind in the config")
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("sweep", help="outbreak response along a beta grid")

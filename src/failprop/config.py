@@ -91,12 +91,16 @@ def _as_int(value: str, name: str) -> int:
 
 
 def _as_float(value: str, name: str) -> float:
+    """A finite number; one whose digits before the exponent are not all 0
+    but that reads as 0.0 (`1e-400`) is an error, not a silent 0."""
     try:
         x = float(_plain(value))
     except ValueError:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if x == 0 and any(d in value.lower().partition("e")[0] for d in "123456789"):
+        raise ConfigError(f"{name} underflows to 0, got {value!r}")
     return x
 
 
@@ -339,7 +343,8 @@ def _node_values(net: Network, lines, name: str) -> dict[int, float]:
     Without aliases every token goes through one `int` and one `float` map,
     with the value grammar (`_plain`, on all values joined), range,
     finiteness and repeats checked in bulk; the line-by-line loop runs only
-    when one of those fails, to raise for the first bad line."""
+    when one of those fails, or when a value reads as 0 (it may have
+    underflowed), to raise for the first bad line."""
     if net.aliases is None and lines:
         keys, values = zip(*lines)
         try:
@@ -349,7 +354,7 @@ def _node_values(net: Network, lines, name: str) -> dict[int, float]:
             pass
         else:
             if (len(out) == len(lines) and min(out) >= 0 and max(out) < net.node_count
-                    and all(map(math.isfinite, out.values()))):
+                    and all(map(math.isfinite, out.values())) and 0 not in out.values()):
                 return out
     out: dict[int, float] = {}
     token_of: dict[int, str] = {}

@@ -1,9 +1,8 @@
-"""Summary quantities read off simulation and cascade traces."""
+"""Summary quantities read off epidemic traces and state vectors, and the threshold sweep."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .epidemic import (
     D,
@@ -16,9 +15,6 @@ from .epidemic import (
 )
 from .rng import derive_seed
 from .topology import InputError, Network, _fmt, connected_components
-
-if TYPE_CHECKING:  # for the annotation only: epidemic runs never load cascades
-    from .cascades import CascadeTrace
 
 
 class MetricsError(InputError):
@@ -72,11 +68,6 @@ def stabilization_time(trace: SimulationTrace) -> StabilizationResult:
     while i > 0 and rows[i - 1] == rows[-1]:
         i -= 1
     return StabilizationResult(trace.counts[i][0], True)
-
-
-def failed_fraction(trace: CascadeTrace) -> float:
-    """Terminal failed share of the network; see `CascadeTrace.failed_fraction`."""
-    return trace.failed_fraction()
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from failprop.cli import build_parser, main
+from failprop.config import build_network, load_config, resolve_seeds
+from failprop.epidemic import monte_carlo
+from failprop.metrics import outbreak_size
 from failprop.topology import (
     barabasi_albert,
     erdos_renyi,
@@ -126,6 +129,18 @@ def test_failed_write_leaves_the_output_directory_as_it_was(tmp_path, monkeypatc
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_a_directory_in_the_way_of_a_target_replaces_no_file(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SI_RING_CFG)
+    out = tmp_path / "out"
+    (out / "events.csv").mkdir(parents=True)
+    (out / "trace.csv").write_text("old\n")
+    assert main(["epidemic", "--config", cfg, "--out", str(out)]) == 4
+    assert "failprop: unexpected error: IsADirectoryError(" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["events.csv", "trace.csv"]
+    assert (out / "trace.csv").read_bytes() == b"old\n"
+    assert not any((out / "events.csv").iterdir())
+
+
 def test_epidemic_seed_override_changes_resolved_config(tmp_path):
     cfg = write_cfg(tmp_path, SI_RING_CFG)
     out = tmp_path / "o"
@@ -163,6 +178,35 @@ def test_seed_option_has_one_spelling(tmp_path, capsys, seed):
                  f"--seed={seed}"])
     assert code == 2 and not out.exists()
     assert f"--seed must be an integer, got '{seed}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["epidemic", "sweep"])
+@pytest.mark.parametrize("jobs", ["1_0", "\uff12", "x"])
+def test_jobs_option_reads_config_integers(tmp_path, capsys, command, jobs):
+    # argparse's int() would read `1_0` as 10 and a fullwidth 2 as 2
+    out = tmp_path / "o"
+    code = main([command, "--config", write_cfg(tmp_path, SWEEP_CFG), "--out", str(out),
+                 f"--jobs={jobs}"])
+    assert code == 2 and not out.exists()
+    assert f"--jobs must be an integer, got '{jobs}'" in capsys.readouterr().err
+
+
+def test_replica0_outbreak_size_counts_each_node_once(tmp_path):
+    # SIS re-infects nodes: replica 0's event log enters I more often than
+    # it has distinct infected nodes
+    text = SI_RING_CFG.replace("model=SI", "model=SIS\ndelta1=0.3")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["epidemic", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads(read(out / "summary.json"))
+    c = load_config(cfg)
+    net = build_network(c)
+    agg = monte_carlo(net, resolve_seeds(c, net), c.model, c.max_ticks, c.stop,
+                      n_runs=c.n_runs, base_seed=c.rng_seed)
+    entries = [e for e in agg.replica0.events if e[3] == "I"]
+    assert len(entries) > len({e[1] for e in entries})
+    assert summary["replica0"]["outbreak_size"] == outbreak_size(agg.replica0)
+    assert summary["aggregate"]["outbreak_sizes"][0] == outbreak_size(agg.replica0)
 
 
 def test_epidemic_resolved_config_reproduces_run(tmp_path):
@@ -257,12 +301,6 @@ def test_cascade_events_file(tmp_path):
 def test_cascade_without_scenario_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, SI_RING_CFG)
     assert main(["cascade", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-
-
-def test_cascade_kind_conflict_exits_2(tmp_path, capsys):
-    assert main(["cascade", "--config", "fig5a-vertical", "--kind", "horizontal",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "conflicts" in capsys.readouterr().err
 
 
 def test_cascade_vertical_without_controllers_exits_2(tmp_path):
@@ -497,6 +535,13 @@ def test_gen_parameter_outside_the_config_number_grammar_exits_2(tmp_path, capsy
     assert main(["gen", "ring", token, "--out", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"gen parameter must be {'finite' if token == 'nan' else 'a number'}, got {token!r}" in err
+    assert not path.exists()
+
+
+def test_gen_parameter_that_underflows_exits_2(tmp_path, capsys):
+    path = tmp_path / "er.edges"
+    assert main(["gen", "er", "10", "1e-400", "--out", str(path)]) == 2
+    assert "gen parameter underflows to 0, got '1e-400'" in capsys.readouterr().err
     assert not path.exists()
 
 

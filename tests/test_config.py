@@ -134,7 +134,8 @@ def test_parse_validates_run_values():
 
 
 # int() and float() read `_` digit groups and non-ASCII digits; a config
-# number may not hold either, and the error quotes the token as written
+# number may not hold either, nor have a nonzero digit and read as 0.0
+# (`1e-400`, which would run as 0), and the error quotes the token as written
 @pytest.mark.parametrize("text, msg", [
     ("[run]\nmax_ticks=5_0\n", "max_ticks must be an integer, got '5_0'"),
     ("[run]\nn_runs=\u0664\n", "n_runs must be an integer, got '\u0664'"),
@@ -148,6 +149,9 @@ def test_parse_validates_run_values():
     ("[model]\nmodel=SID\nbeta=0.4\ntau=1e-1_0\nseeds=0\n", "tau must be a number, got '1e-1_0'"),
     ("[model]\nmodel=SID\nbeta=0.4\ngamma=.2_5\nseeds=0\n", "gamma must be a number, got '.2_5'"),
     ("[sweep]\ngrid=0.1,0_2\n", "grid must be a number, got '0_2'"),
+    ("[model]\nmodel=SI\nbeta=1e-400\nseeds=0\n", "beta underflows to 0, got '1e-400'"),
+    ("[run]\nepsilon=1e-400\n", "epsilon underflows to 0, got '1e-400'"),
+    ("[sweep]\ngrid=0,-2.5E-401\n", "grid underflows to 0, got '-2.5E-401'"),
 ])
 def test_numbers_have_one_spelling(text, msg):
     with pytest.raises(ConfigError) as err:
@@ -166,6 +170,9 @@ def test_numbers_have_one_spelling(text, msg):
      "demand volume must be a number, got '2_0'"),
     ("[topology]\ngenerate=ring:6\n[scenario]\nkind=horizontal\n[injection]\n0,3,\u0669\n",
      "injection volume must be a number, got '\u0669'"),
+    ("[topology]\ngenerate=er:10:1e-400\n", "generate underflows to 0, got '1e-400'"),
+    ("[topology]\ngenerate=ring:6\n[scenario]\nkind=vertical\n[rate]\n0=1\n1=.01e-399\n",
+     "rate 1 underflows to 0, got '.01e-399'"),
 ])
 def test_network_and_scenario_numbers_have_one_spelling(text, msg):
     cfg = parse_config(text)
@@ -176,6 +183,18 @@ def test_network_and_scenario_numbers_have_one_spelling(text, msg):
         else:
             build_horizontal_scenario(cfg, net)
     assert str(err.value) == msg
+
+
+@pytest.mark.parametrize("token,value", [
+    ("0", 0.0), ("0.0", 0.0), ("-0", -0.0), ("0e5", 0.0), ("5e-324", 5e-324),
+])
+def test_a_zero_or_the_smallest_number_is_read(token, value):
+    cfg = parse_config(f"[model]\nmodel=SI\nbeta={token}\nseeds=0\n")
+    assert repr(cfg.model.beta) == repr(value)
+    cfg = parse_config("[topology]\ngenerate=ring:6\n[scenario]\nkind=horizontal\n"
+                       f"[capacity]\n1=2\n0={token}\n")
+    capacity = build_horizontal_scenario(cfg, build_network(cfg)).node_capacity
+    assert list(capacity) == [1, 0] and repr(capacity[0]) == repr(value)
 
 
 @pytest.mark.parametrize("section,key", [("run", "rng_seed"), ("topology", "gen_seed")])

@@ -6,7 +6,6 @@ from failprop.metrics import (
     MetricsError,
     SweepResult,
     dp_connectivity,
-    failed_fraction,
     outbreak_size,
     stabilization_time,
     threshold_sweep,
@@ -117,14 +116,14 @@ def test_failed_fraction_vertical_counts_orphans():
     sc = VerticalScenario({1: 1.0, 2: 1.0}, {0: 5.0})
     tr = run_vertical(net, sc)
     # both controllers die under the 5-unit rate, switch 0 is orphaned
-    assert failed_fraction(tr) == 3 / 3
+    assert tr.failed_fraction() == 3 / 3
 
 
 def test_failed_fraction_horizontal():
     text = "0 1\n1 2\n2 3\n3 4\n[roles]\n0=edge_switch\n4=edge_switch\n"
     net = load_edge_list(text)
     sc = HorizontalScenario({1: 10.0, 2: 10.0, 3: 10.0}, injection=(0, 4, 20.0))
-    assert failed_fraction(run_horizontal(net, sc)) == 3 / 5
+    assert run_horizontal(net, sc).failed_fraction() == 3 / 5
 
 
 # --- threshold sweep ---------------------------------------------------------

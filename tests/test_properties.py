@@ -30,6 +30,9 @@ points run in worker processes.
 pure-Python indented JSON encoder wrote the whole summary; the summary the C
 encoder writes must have the same bytes.
 
+`reference_events_csv` copies the cascade `events.csv` renderer from when
+the command line held it; `CascadeTrace.events_csv` must give the same text.
+
 `reference_render_resolved` copies `render_resolved` from when it resolved
 and parsed every raw node token of the config a second time; rendering from
 the seed ids or the scenario the run resolved must give the same text.
@@ -1206,6 +1209,27 @@ def test_terminal_json_matches_the_indented_encoder(trace):
     assert trace.terminal_json() == reference_terminal_json(trace)
 
 
+def reference_events_csv(trace):
+    event = "controller_failed" if trace.kind == "vertical" else "node_failed"
+    lines = ["round,event,subject"]
+    for rnd in trace.rounds:
+        lines += [f"{rnd.index},{event},{v}" for v in sorted(rnd.failed_now)]
+    if trace.kind == "vertical":
+        last = trace.rounds[-1].index
+        lines += [
+            f"{last},switch_orphaned,{sw}"
+            for sw in sorted(trace.terminal.orphaned_switches)
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(vertical_cases().map(lambda case: run_vertical(*case)),
+                 horizontal_cases().map(lambda case: run_horizontal(*case))))
+def test_cascade_events_csv_matches_the_reference(trace):
+    assert trace.events_csv() == reference_events_csv(trace)
+
+
 def test_vertical_path_never_builds_the_adjacency():
     # the vertical engine reads roles and preference lists only
     cfg = load_config("fig5a-vertical")
@@ -1213,6 +1237,7 @@ def test_vertical_path_never_builds_the_adjacency():
     sc = build_vertical_scenario(cfg, net)
     trace = run_vertical(net, sc)
     trace.csv()
+    trace.events_csv()
     trace.terminal_json()
     render_resolved(cfg, scenario=sc, aliases=net.aliases)
     assert trace.terminal.failed_controllers
