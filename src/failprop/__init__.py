@@ -33,9 +33,9 @@ _EXPORTS = {
     ),
     "rng": ("derive_seed", "splitmix64"),
     "topology": (
-        "GeneratorParamError", "Network", "TopologyError", "ValidationReport",
-        "barabasi_albert", "connected_components", "erdos_renyi", "generate_topology",
-        "grid", "load_edge_list", "ring", "serialize_edge_list", "validate",
+        "GeneratorParamError", "Network", "TopologyError", "barabasi_albert",
+        "connected_components", "erdos_renyi", "generate_topology", "grid",
+        "load_edge_list", "ring", "serialize_edge_list", "validate",
     ),
 }
 _MODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from bisect import bisect
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, filterfalse, repeat
 from math import isfinite
 from operator import add, indexOf
@@ -187,15 +187,6 @@ class VerticalRound:
     failed_before: frozenset[int]
 
 
-@dataclass(frozen=True)
-class VerticalTerminal:
-    failed_controllers: frozenset[int]
-    orphaned_switches: frozenset[int]
-    assignment: dict[int, int | None]
-    loads: dict[int, float]
-    rounds: int
-
-
 def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
     """Iterate failover and overload to the fixed point.
 
@@ -247,15 +238,7 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
         picked = assign_switches(net, failed, chain.from_iterable(held.pop(c)[0] for c in now))
         assignment = {**assignment, **picked}  # every key is already there: order kept
     assert len(rounds) <= len(controllers) + 1
-    last = rounds[-1]
-    terminal = VerticalTerminal(
-        failed_controllers=frozenset(failed),
-        orphaned_switches=frozenset(sw for sw, c in last.assignment.items() if c is None),
-        assignment=last.assignment,
-        loads=last.loads,
-        rounds=len(rounds),
-    )
-    return CascadeTrace("vertical", net, sc, tuple(rounds), terminal, tuple(warnings))
+    return CascadeTrace("vertical", net, sc, tuple(rounds), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +369,6 @@ class HorizontalRound:
     failed_before: frozenset[int]
 
 
-@dataclass(frozen=True)
-class HorizontalTerminal:
-    failed_nodes: frozenset[int]
-    loads: dict[int, float]
-    dropped: tuple[tuple[str, int, int, float], ...]
-    rounds: int
-
-
 def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
     """Iterate routing and overflow to the fixed point.
 
@@ -422,14 +397,7 @@ def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
         failed |= now
         alive -= now
     assert len(rounds) <= net.node_count
-    last = rounds[-1]
-    terminal = HorizontalTerminal(
-        failed_nodes=frozenset(failed),
-        loads=last.loads,
-        dropped=last.dropped,
-        rounds=len(rounds),
-    )
-    return CascadeTrace("horizontal", net, sc, tuple(rounds), terminal, tuple(warnings))
+    return CascadeTrace("horizontal", net, sc, tuple(rounds), tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +405,24 @@ def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
 
 @dataclass(frozen=True)
 class CascadeTrace:
-    """Round-by-round record of one cascade run, plus the fixed point."""
+    """Round-by-round record of one cascade run. The last round is the quiet
+    one, so it holds the fixed point."""
 
     kind: str  # "vertical" | "horizontal"
     net: Network = field(repr=False)
-    scenario: VerticalScenario | HorizontalScenario = field(repr=False, default=None)
-    rounds: tuple = ()
-    terminal: VerticalTerminal | HorizontalTerminal | None = None
-    warnings: tuple[str, ...] = ()
+    scenario: VerticalScenario | HorizontalScenario = field(repr=False)
+    rounds: tuple
+    warnings: tuple[str, ...]
+
+    @property
+    def failed(self) -> frozenset[int]:
+        """Every controller (vertical) or node (horizontal) that failed."""
+        return self.rounds[-1].failed_before
+
+    @cached_property
+    def orphaned_switches(self) -> frozenset[int]:
+        """Vertical only: the switches with no live controller at the end."""
+        return frozenset(sw for sw, c in self.rounds[-1].assignment.items() if c is None)
 
     def failed_fraction(self) -> float:
         """Terminal failed share of the network for either cascade kind.
@@ -453,11 +431,8 @@ class CascadeTrace:
         with no live controller is failed for service purposes even though
         its hardware is up); horizontal counts overloaded nodes.
         """
-        t = self.terminal
-        n = self.net.node_count
-        if self.kind == "vertical":
-            return (len(t.failed_controllers) + len(t.orphaned_switches)) / n
-        return len(t.failed_nodes) / n
+        orphaned = len(self.orphaned_switches) if self.kind == "vertical" else 0
+        return (len(self.failed) + orphaned) / self.net.node_count
 
     def csv(self) -> str:
         """Per-round per-subject rows: round,<id>,load,capacity,status."""
@@ -496,7 +471,7 @@ class CascadeTrace:
         if self.kind == "vertical":
             last = self.rounds[-1].index
             lines += [f"{last},switch_orphaned,{sw}"
-                      for sw in sorted(self.terminal.orphaned_switches)]
+                      for sw in sorted(self.orphaned_switches)]
         return "\n".join(lines) + "\n"
 
     def dropped_csv(self) -> str:
@@ -512,24 +487,19 @@ class CascadeTrace:
     def terminal_json(self) -> str:
         """The fixed point as `json.dumps(payload, sort_keys=True, indent=2)`
         writes it, plus a newline; see `_json_value`."""
-        t = self.terminal
+        last = self.rounds[-1]
+        payload = {
+            "kind": self.kind,
+            "rounds": len(self.rounds),
+            "loads": {str(s): load for s, load in last.loads.items()},
+        }
         if self.kind == "vertical":
-            payload = {
-                "kind": "vertical",
-                "rounds": t.rounds,
-                "failed_controllers": sorted(t.failed_controllers),
-                "orphaned_switches": sorted(t.orphaned_switches),
-                "assignment": {str(sw): c for sw, c in t.assignment.items()},
-                "loads": {str(c): load for c, load in t.loads.items()},
-            }
+            payload["failed_controllers"] = sorted(self.failed)
+            payload["orphaned_switches"] = sorted(self.orphaned_switches)
+            payload["assignment"] = {str(sw): c for sw, c in last.assignment.items()}
         else:
-            payload = {
-                "kind": "horizontal",
-                "rounds": t.rounds,
-                "failed_nodes": sorted(t.failed_nodes),
-                "dropped": [list(d) for d in t.dropped],
-                "loads": {str(v): load for v, load in t.loads.items()},
-            }
+            payload["failed_nodes"] = sorted(self.failed)
+            payload["dropped"] = [list(d) for d in last.dropped]
         if self.warnings:
             payload["warnings"] = list(self.warnings)
         body = ",\n".join(f"  {json.dumps(k)}: {_json_value(payload[k])}" for k in sorted(payload))

@@ -160,17 +160,16 @@ def cmd_cascade(args) -> int:
     _write(files)
     for w in trace.warnings:
         _say(f"warning: {w}")
-    t = trace.terminal
     if cfg.scenario_kind == "vertical":
         _say(
-            f"cascade vertical: {len(t.failed_controllers)} controller(s) failed, "
-            f"{len(t.orphaned_switches)} switch(es) orphaned, {t.rounds} round(s), "
+            f"cascade vertical: {len(trace.failed)} controller(s) failed, "
+            f"{len(trace.orphaned_switches)} switch(es) orphaned, {len(trace.rounds)} round(s), "
             f"failed fraction {trace.failed_fraction():.4f}"
         )
     else:
         _say(
-            f"cascade horizontal: {len(t.failed_nodes)} node(s) failed, "
-            f"{len(t.dropped)} flow(s) dropped, {t.rounds} round(s), "
+            f"cascade horizontal: {len(trace.failed)} node(s) failed, "
+            f"{len(trace.rounds[-1].dropped)} flow(s) dropped, {len(trace.rounds)} round(s), "
             f"failed fraction {trace.failed_fraction():.4f}"
         )
     return EXIT_OK
@@ -231,13 +230,10 @@ def cmd_validate(args) -> int:
         net = cfgmod.read_topology(args.topology)
     else:
         net = cfgmod.build_network(cfgmod.load_config(args.config))
-    report = validate(net)
-    for line in report.lines():
-        print(line)
-    _say(
-        f"validate: {net.node_count} nodes, {net.edge_count()} edges, "
-        f"{len(report.warnings)} warning(s)"
-    )
+    warnings = validate(net)
+    for w in warnings:
+        print(f"warning: {w}")
+    _say(f"validate: {net.node_count} nodes, {net.edge_count()} edges, {len(warnings)} warning(s)")
     return EXIT_OK
 
 

@@ -333,7 +333,14 @@ def resolve_node(net: Network, token: str, name: str) -> int:
 
 
 def resolve_seeds(cfg: ExperimentConfig, net: Network) -> tuple[int, ...]:
-    return tuple(resolve_node(net, t, "seeds") for t in cfg.seed_tokens)
+    """The seed nodes in token order; two tokens that name one node are an error."""
+    token_of: dict[int, str] = {}
+    for t in cfg.seed_tokens:
+        node = resolve_node(net, t, "seeds")
+        if node in token_of:
+            raise ConfigError(f"seeds: {token_of[node]!r} and {t!r} name the same node {node}")
+        token_of[node] = t
+    return tuple(token_of)
 
 
 def _node_values(net: Network, lines, name: str) -> dict[int, float]:

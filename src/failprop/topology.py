@@ -520,17 +520,6 @@ def generate_topology(kind: str, params: Iterable[float], seed: int = 0) -> Netw
     return fn(*args, seed) if seeded else fn(*args)
 
 
-# ---------------------------------------------------------------------------
-# validation report
-
-@dataclass
-class ValidationReport:
-    warnings: list[str] = field(default_factory=list)
-
-    def lines(self) -> list[str]:
-        return [f"warning: {m}" for m in self.warnings]
-
-
 def connected_components(net: Network, nodes: Iterable[int] | None = None) -> list[set[int]]:
     """Connected components of the subgraph induced by `nodes` (default: all)."""
     pool = set(range(net.node_count)) if nodes is None else set(nodes)
@@ -551,15 +540,15 @@ def connected_components(net: Network, nodes: Iterable[int] | None = None) -> li
     return comps
 
 
-def validate(net: Network) -> ValidationReport:
+def validate(net: Network) -> list[str]:
     """Collect scenario-readiness warnings. Structural invariants need no
     check here: a Network that violates one cannot be constructed."""
-    report = ValidationReport()
+    warnings = []
     dp_nodes = [v for v in range(net.node_count) if net.roles[v] != CONTROLLER]
     if len(dp_nodes) >= 2 and len(connected_components(net, dp_nodes)) > 1:
-        report.warnings.append("DP disconnected")
+        warnings.append("DP disconnected")
     if net.controllers():
         for sw in net.switches():
             if not net.controller_prefs.get(sw):
-                report.warnings.append(f"unassigned switch {sw}")
-    return report
+                warnings.append(f"unassigned switch {sw}")
+    return warnings

@@ -57,7 +57,6 @@ def test_ac01_isolated_node_occupancy_matches_stationary_distribution():
     sv = initial_state(net, {0})
     ticks = 10 ** 6
     occ = {"S": 0, "I": 0, "R": 0, "D": 0}
-    # CPU time of this process, which other load on the host does not inflate
     start = time.process_time()
     for _ in range(ticks):
         state = sv.states[0]
@@ -67,12 +66,24 @@ def test_ac01_isolated_node_occupancy_matches_stationary_distribution():
         else:
             sv = step(net, sv, p, rng)
     elapsed = time.process_time() - start
+    # the same bookkeeping with one draw in place of `step`: the budget is a
+    # ratio to this loop's time, so a slower or busier host moves both
+    draw = random.Random(0).random
+    seen = dict.fromkeys(occ, 0)
+    start = time.process_time()
+    for _ in range(ticks):
+        state = sv.states[0]
+        seen[state] += 1
+        draw()
+    calibration = time.process_time() - start
 
     assert occ["R"] == 0
     assert abs(occ["S"] / ticks - pi_s) <= 0.005
     assert abs(occ["I"] / ticks - pi_i) <= 0.005
     assert abs(occ["D"] / ticks - pi_d) <= 0.005
-    assert elapsed < 10.0
+    # 1.5 times the largest of ten measured ratios (24.4-43.3, Python 3.11 on a
+    # shared 2-core VM)
+    assert elapsed / calibration < 65.0
 
 
 def test_ac02_infection_probability_matches_bernoulli_enumeration():
@@ -166,9 +177,9 @@ def test_ac06_controller_overload_fixed_points_match_hand_enumeration():
     # Total load 50 <= 100, so nothing fails and the quiet round is round 1.
     net = _star_cp_net(5, {sw: [0] for sw in range(5)})
     calm = run_vertical(net, VerticalScenario({5: 100.0}, {sw: 10.0 for sw in range(5)}))
-    assert calm.terminal.rounds == 1
-    assert calm.terminal.failed_controllers == frozenset()
-    assert calm.terminal.orphaned_switches == frozenset()
+    assert len(calm.rounds) == 1
+    assert calm.failed == frozenset()
+    assert calm.orphaned_switches == frozenset()
     assert calm.rounds[0].loads == {5: 50.0}
 
     # Oracle B: adding 200 to one switch lifts the load to 250 > 100; the
@@ -178,9 +189,9 @@ def test_ac06_controller_overload_fixed_points_match_hand_enumeration():
                                              attack=(0, 200.0)))
     assert hit.rounds[0].loads == {5: 250.0}
     assert hit.rounds[0].failed_now == {5}
-    assert hit.terminal.rounds == 2
-    assert hit.terminal.failed_controllers == {5}
-    assert hit.terminal.orphaned_switches == frozenset(range(5))
+    assert len(hit.rounds) == 2
+    assert hit.failed == {5}
+    assert hit.orphaned_switches == frozenset(range(5))
 
     # Oracle C: 6 switches split 3/3 over two mutually-backing controllers,
     # attack 150 on a switch of the first. Round 1: 30+150=180 > 100, first
@@ -196,9 +207,9 @@ def test_ac06_controller_overload_fixed_points_match_hand_enumeration():
     assert chain.rounds[1].loads == {7: 210.0}
     assert chain.rounds[1].failed_now == {7}
     assert chain.rounds[2].failed_now == frozenset()
-    assert chain.terminal.rounds == 3
-    assert chain.terminal.failed_controllers == {6, 7}
-    assert chain.terminal.orphaned_switches == frozenset(range(6))
+    assert len(chain.rounds) == 3
+    assert chain.failed == {6, 7}
+    assert chain.orphaned_switches == frozenset(range(6))
 
 
 LINE_DP = """
@@ -243,8 +254,8 @@ def test_ac07_data_plane_overflow_rounds_match_hand_enumeration():
     assert tr.rounds[0].loads == {0: 20.0, 1: 20.0, 2: 20.0, 3: 20.0, 4: 20.0}
     assert tr.rounds[1].failed_now == frozenset()
     assert tr.rounds[1].dropped == (("injection", 0, 4, 20.0),)
-    assert tr.terminal.rounds == 2
-    assert tr.terminal.failed_nodes == {1, 2, 3}
+    assert len(tr.rounds) == 2
+    assert tr.failed == {1, 2, 3}
 
     # Oracle B: two equal-length core paths of capacity 10, volume 15. The
     # tie-break picks cores 1,2 first (round 1 failures), the reroute kills
@@ -259,8 +270,8 @@ def test_ac07_data_plane_overflow_rounds_match_hand_enumeration():
     assert tr2.rounds[1].loads == {0: 15.0, 3: 15.0, 4: 15.0, 5: 15.0}
     assert tr2.rounds[2].failed_now == frozenset()
     assert tr2.rounds[2].dropped == (("injection", 0, 5, 15.0),)
-    assert tr2.terminal.rounds == 3
-    assert tr2.terminal.failed_nodes == {1, 2, 3, 4}
+    assert len(tr2.rounds) == 3
+    assert tr2.failed == {1, 2, 3, 4}
 
 
 EPI_CFG = """

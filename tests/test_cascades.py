@@ -170,8 +170,8 @@ def test_vertical_under_capacity_single_quiet_round():
     net = star_net(5, {sw: [0] for sw in range(5)})
     sc = VerticalScenario({5: 100.0}, {sw: 10.0 for sw in range(5)})
     tr = run_vertical(net, sc)
-    assert tr.terminal.rounds == 1
-    assert tr.terminal.failed_controllers == frozenset()
+    assert len(tr.rounds) == 1
+    assert tr.failed == frozenset()
     assert tr.rounds[0].loads == {5: 50.0}
 
 
@@ -180,9 +180,9 @@ def test_vertical_attack_overloads_single_controller():
     sc = VerticalScenario({5: 100.0}, {sw: 10.0 for sw in range(5)}, attack=(0, 200.0))
     tr = run_vertical(net, sc)
     assert tr.rounds[0].loads == {5: 250.0}
-    assert tr.terminal.rounds == 2
-    assert tr.terminal.failed_controllers == {5}
-    assert tr.terminal.orphaned_switches == {0, 1, 2, 3, 4}
+    assert len(tr.rounds) == 2
+    assert tr.failed == {5}
+    assert tr.orphaned_switches == {0, 1, 2, 3, 4}
 
 
 def test_vertical_failover_chain():
@@ -197,9 +197,9 @@ def test_vertical_failover_chain():
     assert tr.rounds[0].failed_now == {6}
     assert tr.rounds[1].loads == {7: 210.0}
     assert tr.rounds[1].failed_now == {7}
-    assert tr.terminal.rounds == 3
-    assert tr.terminal.failed_controllers == {6, 7}
-    assert tr.terminal.orphaned_switches == frozenset(range(6))
+    assert len(tr.rounds) == 3
+    assert tr.failed == {6, 7}
+    assert tr.orphaned_switches == frozenset(range(6))
 
 
 def test_vertical_failed_set_grows_monotonically():
@@ -219,7 +219,7 @@ def test_vertical_no_attack_under_capacity_nothing_fails():
     net = star_net(4, prefs)
     sc = VerticalScenario({4: 41.0, 5: 41.0}, {sw: 10.0 for sw in range(4)})
     tr = run_vertical(net, sc)
-    assert tr.terminal.failed_controllers == frozenset()
+    assert tr.failed == frozenset()
 
 
 def test_vertical_capacity_above_total_rate_never_fails():
@@ -230,7 +230,7 @@ def test_vertical_capacity_above_total_rate_never_fails():
         sc = VerticalScenario({4: 1000.0, 5: 1000.0},
                               {sw: 10.0 for sw in range(4)}, attack=(2, 900.0))
         tr = run_vertical(net, sc)
-        assert tr.terminal.failed_controllers == frozenset()
+        assert tr.failed == frozenset()
 
 
 def test_vertical_missing_rate_defaults_to_zero():
@@ -386,8 +386,8 @@ def test_compute_loads_records_dropped():
 def test_horizontal_infinite_capacity_single_round():
     net = parallel_paths_net()
     tr = run_horizontal(net, HorizontalScenario({}, injection=(0, 5, 1000.0)))
-    assert tr.terminal.rounds == 1
-    assert tr.terminal.failed_nodes == frozenset()
+    assert len(tr.rounds) == 1
+    assert tr.failed == frozenset()
 
 
 def test_horizontal_line_cascade():
@@ -397,8 +397,8 @@ def test_horizontal_line_cascade():
     assert tr.rounds[0].failed_now == {1, 2, 3}
     assert tr.rounds[1].failed_now == frozenset()
     assert tr.rounds[1].dropped == (("injection", 0, 4, 20.0),)
-    assert tr.terminal.rounds == 2
-    assert tr.terminal.failed_nodes == {1, 2, 3}
+    assert len(tr.rounds) == 2
+    assert tr.failed == {1, 2, 3}
 
 
 def test_horizontal_parallel_paths_two_wave_cascade():
@@ -409,15 +409,15 @@ def test_horizontal_parallel_paths_two_wave_cascade():
     assert tr.rounds[1].failed_now == {3, 4}
     assert tr.rounds[2].failed_now == frozenset()
     assert tr.rounds[2].dropped == (("injection", 0, 5, 15.0),)
-    assert tr.terminal.rounds == 3
-    assert tr.terminal.failed_nodes == {1, 2, 3, 4}
+    assert len(tr.rounds) == 3
+    assert tr.failed == {1, 2, 3, 4}
 
 
 def test_horizontal_load_equal_capacity_survives():
     net = line_dp_net()
     sc = HorizontalScenario({1: 20.0, 2: 20.0, 3: 20.0}, injection=(0, 4, 20.0))
     tr = run_horizontal(net, sc)
-    assert tr.terminal.failed_nodes == frozenset()
+    assert tr.failed == frozenset()
 
 
 def test_horizontal_controllers_never_route():
@@ -435,7 +435,7 @@ def test_horizontal_injection_volume_monotone_failed_set():
     for vol in (5.0, 15.0, 25.0):
         net = parallel_paths_net()
         sc = HorizontalScenario({v: 10.0 for v in (1, 2, 3, 4)}, injection=(0, 5, vol))
-        terminal[vol] = run_horizontal(net, sc).terminal.failed_nodes
+        terminal[vol] = run_horizontal(net, sc).failed
     assert terminal[5.0] <= terminal[15.0] <= terminal[25.0]
 
 

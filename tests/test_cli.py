@@ -191,6 +191,23 @@ def test_jobs_option_reads_config_integers(tmp_path, capsys, command, jobs):
     assert f"--jobs must be an integer, got '{jobs}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["epidemic", "sweep"])
+@pytest.mark.parametrize("seeds, node, first, second", [
+    ("0,0", 0, "0", "0"),
+    ("b, 1", 1, "b", "1"),  # an alias and its node's id
+])
+def test_a_repeated_seed_node_exits_2(tmp_path, capsys, command, seeds, node, first, second):
+    # one set of seed nodes has one resolved text: "seeds=0" and "seeds=0,0"
+    # would run the same experiment
+    (tmp_path / "net.edges").write_text("a b\nb c\n")
+    text = SWEEP_CFG.replace("generate=ring:8", "file=net.edges").replace("seeds=0",
+                                                                          f"seeds={seeds}")
+    out = tmp_path / "o"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"seeds: {first!r} and {second!r} name the same node {node}" in capsys.readouterr().err
+
+
 def test_replica0_outbreak_size_counts_each_node_once(tmp_path):
     # SIS re-infects nodes: replica 0's event log enters I more often than
     # it has distinct infected nodes
@@ -408,7 +425,7 @@ def test_gen_complete_er(tmp_path):
 def test_gen_into_directory(tmp_path):
     assert main(["gen", "ba", "30", "2", "--seed", "9", "--out", str(tmp_path) + "/"]) == 0
     net = load_edge_list(read(tmp_path / "ba.edges"))
-    assert not validate(net).warnings
+    assert not validate(net)
 
 
 def test_gen_bad_params_exit_2(tmp_path, capsys):

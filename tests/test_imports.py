@@ -125,7 +125,7 @@ def test_star_import_binds_every_export():
 
 
 def test_exports_are_listed_and_unknown_names_are_attribute_errors():
-    assert len(failprop.__all__) == 42
+    assert len(failprop.__all__) == 41
     assert set(failprop.__all__) <= set(dir(failprop))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         failprop.no_such_name

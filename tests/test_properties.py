@@ -58,11 +58,9 @@ from failprop.cascades import (
     CascadeTrace,
     HorizontalRound,
     HorizontalScenario,
-    HorizontalTerminal,
     ScenarioError,
     VerticalRound,
     VerticalScenario,
-    VerticalTerminal,
     _all_flows,
     _fmt,
     assign_switches,
@@ -764,15 +762,7 @@ def reference_run_vertical(net, sc):
         if not now:
             break
         failed |= now
-    last = rounds[-1]
-    terminal = VerticalTerminal(
-        failed_controllers=frozenset(failed),
-        orphaned_switches=frozenset(sw for sw, c in last.assignment.items() if c is None),
-        assignment=last.assignment,
-        loads=last.loads,
-        rounds=len(rounds),
-    )
-    return CascadeTrace("vertical", net, sc, tuple(rounds), terminal, tuple(warnings))
+    return CascadeTrace("vertical", net, sc, tuple(rounds), tuple(warnings))
 
 
 def reference_run_horizontal(net, sc):
@@ -791,14 +781,7 @@ def reference_run_horizontal(net, sc):
             break
         failed |= now
         alive -= now
-    last = rounds[-1]
-    terminal = HorizontalTerminal(
-        failed_nodes=frozenset(failed),
-        loads=last.loads,
-        dropped=last.dropped,
-        rounds=len(rounds),
-    )
-    return CascadeTrace("horizontal", net, sc, tuple(rounds), terminal, tuple(warnings))
+    return CascadeTrace("horizontal", net, sc, tuple(rounds), tuple(warnings))
 
 
 def reference_csv(trace):
@@ -1086,8 +1069,8 @@ def test_vertical_failed_set_is_monotone_in_switch_rates(data, case):
     net, sc = case
     more = {sw: sc.base_rate.get(sw, 0.0) + data.draw(amounts) for sw in net.switches()}
     higher = VerticalScenario(sc.controller_capacity, more, sc.attack)
-    low = run_vertical(net, sc).terminal.failed_controllers
-    high = run_vertical(net, higher).terminal.failed_controllers
+    low = run_vertical(net, sc).failed
+    high = run_vertical(net, higher).failed
     assert low <= high
 
 
@@ -1122,7 +1105,7 @@ def test_vertical_run_with_2000_switches_matches_the_oracle_bit_for_bit():
     net, sc = vertical_2000()
     got, expected = run_vertical(net, sc), reference_run_vertical(net, sc)
     assert len(expected.rounds) >= 4
-    assert 0 < len(expected.terminal.failed_controllers) < len(net.controllers())
+    assert 0 < len(expected.failed) < len(net.controllers())
     check_same_trace(got, expected)
     for a, b in zip(got.rounds, expected.rounds):
         assert list(a.assignment.items()) == list(b.assignment.items())
@@ -1155,23 +1138,23 @@ def test_vertical_run_reassigns_the_switches_of_the_failed_controllers(monkeypat
 
 def reference_terminal_json(trace):
     """CascadeTrace.terminal_json as it was: the pure-Python indented encoder."""
-    t = trace.terminal
+    last = trace.rounds[-1]
     if trace.kind == "vertical":
         payload = {
             "kind": "vertical",
-            "rounds": t.rounds,
-            "failed_controllers": sorted(t.failed_controllers),
-            "orphaned_switches": sorted(t.orphaned_switches),
-            "assignment": {str(sw): c for sw, c in t.assignment.items()},
-            "loads": {str(c): load for c, load in t.loads.items()},
+            "rounds": len(trace.rounds),
+            "failed_controllers": sorted(trace.failed),
+            "orphaned_switches": sorted(trace.orphaned_switches),
+            "assignment": {str(sw): c for sw, c in last.assignment.items()},
+            "loads": {str(c): load for c, load in last.loads.items()},
         }
     else:
         payload = {
             "kind": "horizontal",
-            "rounds": t.rounds,
-            "failed_nodes": sorted(t.failed_nodes),
-            "dropped": [list(d) for d in t.dropped],
-            "loads": {str(v): load for v, load in t.loads.items()},
+            "rounds": len(trace.rounds),
+            "failed_nodes": sorted(trace.failed),
+            "dropped": [list(d) for d in last.dropped],
+            "loads": {str(v): load for v, load in last.loads.items()},
         }
     if trace.warnings:
         payload["warnings"] = list(trace.warnings)
@@ -1186,19 +1169,20 @@ node_ids = st.integers(0, 10**6)
 
 @st.composite
 def drawn_terminals(draw):
-    """Terminals an engine may never produce: any ids, loads and warnings."""
-    ids = st.sets(node_ids, max_size=6)
+    """Fixed points an engine may never produce: a last round with any ids,
+    loads, assignment, dropped flows and warnings, repeated 1-99 times."""
+    failed = frozenset(draw(st.sets(node_ids, max_size=6)))
     loads = draw(st.dictionaries(node_ids, json_floats, max_size=8))
     warnings = tuple(draw(st.lists(st.text(max_size=12), max_size=3)))
+    count = draw(st.integers(1, 99))
     if draw(st.booleans()):
         assignment = draw(st.dictionaries(node_ids, st.one_of(st.none(), node_ids), max_size=8))
-        t = VerticalTerminal(frozenset(draw(ids)), frozenset(draw(ids)), assignment, loads,
-                             draw(st.integers(1, 99)))
-        return CascadeTrace("vertical", ring(3), None, (), t, warnings)
+        last = VerticalRound(count, assignment, loads, frozenset(), failed)
+        return CascadeTrace("vertical", ring(3), None, (last,) * count, warnings)
     flow = st.tuples(st.sampled_from(("demand", "injection")), node_ids, node_ids, json_floats)
-    t = HorizontalTerminal(frozenset(draw(ids)), loads,
-                           tuple(draw(st.lists(flow, max_size=3))), draw(st.integers(1, 99)))
-    return CascadeTrace("horizontal", ring(3), None, (), t, warnings)
+    last = HorizontalRound(count, loads, tuple(draw(st.lists(flow, max_size=3))),
+                           frozenset(), failed)
+    return CascadeTrace("horizontal", ring(3), None, (last,) * count, warnings)
 
 
 @settings(deadline=None, max_examples=200)
@@ -1207,6 +1191,22 @@ def drawn_terminals(draw):
                  horizontal_cases().map(lambda case: run_horizontal(*case))))
 def test_terminal_json_matches_the_indented_encoder(trace):
     assert trace.terminal_json() == reference_terminal_json(trace)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(vertical_cases().map(lambda case: run_vertical(*case)),
+                 horizontal_cases().map(lambda case: run_horizontal(*case))))
+def test_the_last_round_is_the_fixed_point(trace):
+    # the quiet last round holds every failure, and a switch is orphaned
+    # exactly when each controller it prefers has failed, whatever the
+    # assignment says
+    assert trace.rounds[-1].failed_now == frozenset()
+    assert trace.failed == frozenset().union(*(rnd.failed_now for rnd in trace.rounds))
+    if trace.kind == "vertical":
+        prefs = trace.net.controller_prefs
+        assert trace.orphaned_switches == {
+            sw for sw in trace.net.switches() if trace.failed.issuperset(prefs.get(sw, ()))
+        }
 
 
 def reference_events_csv(trace):
@@ -1218,7 +1218,7 @@ def reference_events_csv(trace):
         last = trace.rounds[-1].index
         lines += [
             f"{last},switch_orphaned,{sw}"
-            for sw in sorted(trace.terminal.orphaned_switches)
+            for sw in sorted(trace.orphaned_switches)
         ]
     return "\n".join(lines) + "\n"
 
@@ -1240,7 +1240,7 @@ def test_vertical_path_never_builds_the_adjacency():
     trace.events_csv()
     trace.terminal_json()
     render_resolved(cfg, scenario=sc, aliases=net.aliases)
-    assert trace.terminal.failed_controllers
+    assert trace.failed
     assert "adj" not in vars(net)
 
 
@@ -1913,7 +1913,8 @@ def experiments(draw):
         tau, gamma = "0", "0"
         if model == "SID":
             tau, gamma = draw(spelled_probabilities(0.5)), draw(spelled_probabilities())
-        seeds = [node() for _ in range(draw(st.integers(1, 4)))]
+        nodes = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=4))
+        seeds = dict.fromkeys(node(v) for v in nodes)  # an ambiguous token may come twice
         lines += ["", "[model]", f"model={model}", f"beta={draw(spelled_probabilities())}",
                   f"delta1={delta1}", f"tau={tau}", f"gamma={gamma}",
                   "seeds=" + draw(st.sampled_from([",", " , "])).join(seeds)]

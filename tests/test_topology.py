@@ -162,6 +162,8 @@ def test_controller_pref_validation():
         Network.from_edges(2, [(0, 1)], {0: EDGE_SWITCH, 1: EDGE_SWITCH}, {0: [1]})
     with pytest.raises(TopologyError, match="duplicate controller"):
         Network.from_edges(2, [(0, 1)], roles, {0: [1, 1]})
+    with pytest.raises(TopologyError, match="unknown controller id 5$"):
+        Network.from_edges(2, [(0, 1)], roles, {0: [5]})
 
 
 def test_load_edge_list_basic():
@@ -307,29 +309,29 @@ def test_connected_components_induced_subset():
 
 
 def test_validate_clean_graph():
-    report = validate(barabasi_albert(20, 2, seed=1))
-    assert report.warnings == []
+    warnings = validate(barabasi_albert(20, 2, seed=1))
+    assert warnings == []
 
 
 def test_validate_warns_on_disconnected_dp():
     net = load_edge_list("0 1\n2 3\n")
-    report = validate(net)
-    assert any("DP disconnected" in w for w in report.warnings)
+    warnings = validate(net)
+    assert any("DP disconnected" in w for w in warnings)
 
 
 def test_validate_warns_on_unassigned_switch():
     text = "0 1\n0 2\n[roles]\n0=edge_switch\n1=edge_switch\n2=controller\n[controllers]\n0:2\n"
-    report = validate(load_edge_list(text))
-    assert any("unassigned switch 1" in w for w in report.warnings)
-    assert not any("unassigned switch 0" in w for w in report.warnings)
+    warnings = validate(load_edge_list(text))
+    assert any("unassigned switch 1" in w for w in warnings)
+    assert not any("unassigned switch 0" in w for w in warnings)
 
 
 def test_controllers_not_counted_in_dp_warning():
     # DP side (non-controllers) is connected even though the controller
     # hangs off one side only
     text = "0 1\n1 2\n[roles]\n2=controller\n"
-    report = validate(load_edge_list(text))
-    assert not any("DP disconnected" in w for w in report.warnings)
+    warnings = validate(load_edge_list(text))
+    assert not any("DP disconnected" in w for w in warnings)
 
 
 def test_generate_topology_rejects_non_integer_sizes():
