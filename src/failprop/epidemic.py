@@ -230,10 +230,9 @@ def _advance(adj, states, active, counts, p, rng):
                 to, r = R, r + len(moved)
 
     # infection pass: every S neighbor of an I node in id order, one draw
-    # each, against 1 - (1 - beta)**k computed once per distinct count k
+    # each, against infection_probability(k) computed once per distinct count k
     pressure = Counter([u for v in infected for u in adj[v] if states[u] == S])
-    comp = 1.0 - p.beta
-    hit = {k: 1.0 - comp ** k for k in set(pressure.values())}
+    hit = {k: infection_probability(k, p.beta) for k in set(pressure.values())}
     caught = [v for v, u in _with_draws(sorted(pressure), rng) if u < hit[pressure[v]]]
     for v in back:
         states[v] = to
@@ -295,13 +294,13 @@ def run(
     (still capped by max_ticks); stop="fixed_ticks" always produces rows
     for ticks 0..max_ticks. Identical arguments give identical traces.
     """
-    seeds = _check_run(net, seeds, max_ticks, stop)
-    counts, events, final, _ = _simulate(net, seeds, p, max_ticks, stop, rng_seed, True)
+    sv = _check_run(net, seeds, max_ticks, stop)
+    counts, events, final, _ = _simulate(net, sv, p, max_ticks, stop, rng_seed, True)
     return SimulationTrace(net.node_count, p.model, counts, events, final)
 
 
-def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) -> list[int]:
-    """The seed ids in ascending order, once the run arguments pass their checks."""
+def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) -> StateVector:
+    """The seeded start state, once the run arguments pass their checks."""
     if n_runs < 1:
         raise EpidemicError(f"n_runs must be >= 1, got {n_runs}")
     seeds = sorted(set(seeds))
@@ -311,27 +310,24 @@ def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) 
         raise EpidemicError(f"max_ticks must be >= 1, got {max_ticks}")
     if stop not in ("absorb", "fixed_ticks"):
         raise EpidemicError(f"stop must be 'absorb' or 'fixed_ticks', got {stop!r}")
-    for v in seeds:
-        if not 0 <= v < net.node_count:
-            raise EpidemicError(f"seed {v} is not a node id")
-    return seeds
+    return initial_state(net, seeds)
 
 
-def _simulate(net, seeds, p, max_ticks, stop, rng_seed, log):
+def _simulate(net, sv, p, max_ticks, stop, rng_seed, log):
     """The tick loop of `run` (log=True: `step` every tick, for the event
     log) and `_replica` (log=False: `_advance` over one state list), from
-    seed ids that `_check_run` returned.
+    the start state `_check_run` returned. Replicas share that state:
+    neither `step` nor `_advance` mutates the `active` list it is given.
 
     Returns the (tick, S, I, R, D) rows, the event log and final states
     (None without a log), and the number of distinct nodes ever infected.
     """
-    sv = initial_state(net, seeds)
     rng = random.Random(rng_seed)
     counts = sv._counts
-    events = [(0, v, S, I) for v in seeds] if log else None
+    events = [(0, v, S, I) for v in sv._active] if log else None
     if not log:
         states, active, adj = list(sv.states), sv._active, net.adj
-    ever = set(seeds)
+    ever = set(sv._active)
     rows = [(0, *counts)]
 
     for t in range(1, max_ticks + 1):
@@ -427,7 +423,7 @@ def monte_carlo(
     O(ticks + n_runs) numbers. Every argument is checked before any
     worker starts.
     """
-    seeds = _check_run(net, seeds, max_ticks, stop, n_runs)
+    sv = _check_run(net, seeds, max_ticks, stop, n_runs)
 
     n = net.node_count
     sums: list[list[int]] = []  # per tick: S, I, R, D summed over replicas
@@ -439,9 +435,9 @@ def monte_carlo(
     outbreak_sizes = []
 
     net.adj  # built here, before any worker forks, so the workers share it
-    job = (net, seeds, p, max_ticks, stop, base_seed)
+    job = (net, sv, p, max_ticks, stop, base_seed)
     with map_tasks(_replica, job, range(1, n_runs), n_jobs) as results:
-        replica0 = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, 0))
+        replica0 = run(net, sv._active, p, max_ticks, stop, derive_seed(base_seed, 0))
         for rows, infected in chain([(replica0.counts, len(replica0.ever_infected))], results):
             while len(sums) < len(rows):
                 sums.append(end_sum[:])
@@ -468,9 +464,10 @@ def monte_carlo(
 
 def _replica(job, i):
     """Replica i of a batch as (counts rows, number of nodes ever infected);
-    `monte_carlo` checked the batch's arguments once for every replica."""
-    net, seeds, p, max_ticks, stop, base_seed = job
-    counts, _, _, infected = _simulate(net, seeds, p, max_ticks, stop,
+    `monte_carlo` checked the batch's arguments and built its start state
+    once for every replica."""
+    net, sv, p, max_ticks, stop, base_seed = job
+    counts, _, _, infected = _simulate(net, sv, p, max_ticks, stop,
                                        derive_seed(base_seed, i), False)
     return counts, infected
 

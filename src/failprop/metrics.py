@@ -124,7 +124,7 @@ def threshold_sweep(
         raise MetricsError("grid must be strictly increasing")
     if not 0.0 < epsilon < 1.0:
         raise MetricsError(f"epsilon must be in (0, 1), got {epsilon}")
-    seeds = _check_run(net, seeds, max_ticks, stop, n_runs)
+    seeds = _check_run(net, seeds, max_ticks, stop, n_runs)._active
     points = [replace(template, beta=b) for b in grid]
     net.adj  # built here, before any worker forks, so the workers share it
     job = (net, seeds, points, n_runs, max_ticks, base_seed, stop)

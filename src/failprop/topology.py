@@ -297,7 +297,7 @@ def _scan(text: str):
 
 
 def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch_tokens,
-             pref_tokens, declared_count: int | None, roles: dict | None):
+             pref_tokens, declared_count: int | None):
     """Stage 2: turn the scanned tokens into node ids and check them.
 
     Returns the arguments of `Network.from_edges`: (n, normalized edge
@@ -354,19 +354,6 @@ def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch
             if v in first:
                 raise _err(lineno, f"repeated role for node {token} (first on line {first[v]})")
             first[v] = lineno
-    for key, role in (roles or {}).items():
-        if isinstance(key, int):
-            v = key
-        elif key in resolve:
-            v = resolve[key]
-        else:
-            try:
-                v = int(key)
-            except ValueError:
-                raise TopologyError(f"unknown node {key!r} in roles") from None
-        if not (0 <= v < n):
-            raise TopologyError(f"dangling role id {key!r}")
-        role_map[v] = role
 
     switches = list(map(get, switch_tokens))
     prefs = dict(zip(switches, map(tuple, map(map, repeat(get), pref_tokens))))
@@ -381,11 +368,8 @@ def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch
     return n, pairs, role_map, prefs, aliases
 
 
-def load_edge_list(text: str, roles: dict | None = None) -> Network:
+def load_edge_list(text: str) -> Network:
     """Parse edge-list text into a validated Network.
-
-    `roles` optionally adds or overrides role annotations (keyed by id or alias name) on top
-    of the file's own `[roles]` section.
 
     The stages (`_scan`, `_resolve`, `Network.from_edges`) build no
     reference cycles, only enough containers to set off the cyclic garbage
@@ -395,7 +379,7 @@ def load_edge_list(text: str, roles: dict | None = None) -> Network:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return Network.from_edges(*_resolve(*_scan(text), roles))
+        return Network.from_edges(*_resolve(*_scan(text)))
     finally:
         if enabled:
             gc.enable()

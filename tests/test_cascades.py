@@ -209,8 +209,12 @@ def test_vertical_failed_set_grows_monotonically():
     sc = VerticalScenario({6: 100.0, 7: 100.0}, {sw: 10.0 for sw in range(6)},
                           attack=(0, 150.0))
     tr = run_vertical(net, sc)
+    # each round starts from every failure of the rounds before it
+    assert tr.rounds[0].failed_before == frozenset()
+    for prev, rnd in zip(tr.rounds, tr.rounds[1:]):
+        assert rnd.failed_before == prev.failed_before | prev.failed_now
     for rnd in tr.rounds:
-        assert rnd.failed_before <= rnd.failed_before | rnd.failed_now
+        assert not rnd.failed_before & rnd.failed_now
     assert len(tr.rounds) <= len(net.controllers()) + 1
 
 

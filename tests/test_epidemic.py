@@ -110,6 +110,20 @@ def test_step_disabled_neighbors_do_not_transmit():
     assert out.states == ("D", "S")
 
 
+@pytest.mark.parametrize("k,beta", [(1, 0.3), (3, 0.3), (5, 0.1)])
+def test_step_infects_at_the_law_ac02_enumerates(k, beta):
+    # an S centre with k I leaves and two D leaves, which must not count;
+    # with no exits the centre's only draw is its infection
+    net = Network.from_edges(k + 3, [(0, v) for v in range(1, k + 3)])
+    sv = StateVector(("S",) + ("I",) * k + ("D", "D"), 0)
+    p = EpidemicParams("SID", beta=beta, delta1=0.0, tau=0.0, gamma=0.0)
+    rng = random.Random(1)
+    n = 20_000
+    hits = sum(step(net, sv, p, rng).states[0] == "I" for _ in range(n))
+    law = infection_probability(k, beta)
+    assert abs(hits / n - law) < 5 * (law * (1 - law) / n) ** 0.5
+
+
 def test_step_sid_exit_split():
     p = EpidemicParams("SID", beta=0.0, delta1=0.2, tau=0.3, gamma=0.25)
     net = one_node()
@@ -240,7 +254,8 @@ def test_step_rejects_bad_input():
 
 def test_run_rejects_bad_arguments():
     # run checks its own arguments, monte_carlo its batch's once, before any
-    # replica starts; both name the first bad one in the same words
+    # replica starts; both name the first bad one in the same words, and the
+    # last two entries have two faults each, so the order of the checks shows
     p = EpidemicParams("SI", beta=0.5)
     for seeds, max_ticks, stop, msg in [
         ({0}, 10, "never", "stop must be 'absorb' or 'fixed_ticks', got 'never'"),
@@ -248,6 +263,8 @@ def test_run_rejects_bad_arguments():
         (set(), 10, "absorb", "seeds must be nonempty"),
         ({0, 9}, 10, "absorb", "seed 9 is not a node id"),
         ({-1}, 10, "absorb", "seed -1 is not a node id"),
+        (set(), 0, "absorb", "seeds must be nonempty"),
+        ({9}, 10, "never", "stop must be 'absorb' or 'fixed_ticks', got 'never'"),
     ]:
         for entry in (run, monte_carlo):
             with pytest.raises(EpidemicError, match=f"^{re.escape(msg)}$"):

@@ -371,7 +371,7 @@ def test_counts_only_replica_matches_run(model, stop, data, base_seed, i):
     seeds = data.draw(st.sets(st.integers(0, net.node_count - 1), min_size=1))
     max_ticks = data.draw(st.integers(1, 25))
     tr = run(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
-    job = (net, seeds, p, max_ticks, stop, base_seed)
+    job = (net, initial_state(net, seeds), p, max_ticks, stop, base_seed)
     assert failprop.epidemic._replica(job, i) == (tr.counts, len(tr.ever_infected))
 
 
@@ -386,14 +386,14 @@ def test_counts_only_replica_matches_full_scan_oracle(case, base_seed, i):
     if stop == "fixed_ticks":
         rows += [(t, *rows[-1][1:]) for t in range(len(rows), max_ticks + 1)]
     infected = {v for sv in traj for v, x in enumerate(sv.states) if x == I}
-    job = (net, seeds, p, max_ticks, stop, base_seed)
+    job = (net, initial_state(net, seeds), p, max_ticks, stop, base_seed)
     assert failprop.epidemic._replica(job, i) == (rows, len(infected))
 
 
 def test_counts_only_replicas_never_call_step(monkeypatch):
     net = barabasi_albert(40, 2, seed=5)
     p = EpidemicParams("SID", beta=0.3, delta1=0.1, tau=0.2, gamma=0.3)
-    job = (net, {0, 7}, p, 30, "fixed_ticks", 9)
+    job = (net, initial_state(net, {0, 7}), p, 30, "fixed_ticks", 9)
     expected = [failprop.epidemic._replica(job, i) for i in range(1, 4)]
 
     def no_step(*args):
@@ -1332,7 +1332,7 @@ def reference_from_edges(node_count, pairs, roles=None, controller_prefs=None, a
     return node_count, role_tuple, edges, prefs, aliases, adj
 
 
-def reference_load_edge_list(source, roles=None):
+def reference_load_edge_list(source):
     """load_edge_list when it read line by line, taking the last of
     repeated [roles], [controllers] and count= lines."""
     text = source if isinstance(source, str) else source.read()
@@ -1447,19 +1447,6 @@ def reference_load_edge_list(source, roles=None):
         if v >= n:
             raise _ref_err(lineno, f"dangling role id {token}")
         role_map[v] = role
-    for key, role in (roles or {}).items():
-        if isinstance(key, int):
-            v = key
-        elif key in resolve:
-            v = resolve[key]
-        else:
-            try:
-                v = int(key)
-            except ValueError:
-                raise TopologyError(f"unknown node {key!r} in roles") from None
-        if not (0 <= v < n):
-            raise TopologyError(f"dangling role id {key!r}")
-        role_map[v] = role
 
     prefs: dict[int, Iterable[int]] = {}
     for lineno, token, ctrls in pref_lines:
@@ -1504,11 +1491,11 @@ PLANTS = (
 
 @st.composite
 def edge_documents(draw):
-    """Edge-list text plus a roles= override: integer, name and mixed
-    tokens, comments, blank lines, empty and repeated section headers, and
-    up to two planted errors. No node gets two [roles] or [controllers]
-    lines and there is at most one count= line: the oracle let the last of
-    those win, where load_edge_list rejects them."""
+    """Edge-list text: integer, name and mixed tokens, comments, blank
+    lines, empty and repeated section headers, and up to two planted errors.
+    No node gets two [roles] or [controllers] lines and there is at most one
+    count= line: the oracle let the last of those win, where load_edge_list
+    rejects them."""
     n = draw(st.integers(1, 6))
     mode = draw(st.sampled_from(("int", "names", "mixed")))
     named = {v: mode == "names" or (mode == "mixed" and draw(st.booleans()))
@@ -1649,23 +1636,14 @@ def edge_documents(draw):
     if "half a header" in planted:
         # not a header: a malformed line of whatever section it lands in
         out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(("[roles", "nodes]"))))
-    text = "\n".join(out) + draw(st.sampled_from(("\n", "")))
-
-    override = None
-    if draw(st.integers(0, 3)) == 0:
-        key = draw(st.sampled_from(("id", "token", "id", "token", "unknown", "out of range")))
-        v = draw(st.integers(0, n - 1))
-        key = {"id": v, "token": tok(v), "unknown": "zz", "out of range": n + 3}[key]
-        override = {key: draw(st.sampled_from(ROLES + ("router",)))}
-    return text, override
+    return "\n".join(out) + draw(st.sampled_from(("\n", "")))
 
 
 # a document that reaches a given late check is rare among all documents
 @settings(deadline=None, max_examples=1000)
 @given(edge_documents())
-def test_load_edge_list_matches_line_by_line_oracle(doc):
-    text, roles = doc
-    assert outcome(load_edge_list, text, roles) == outcome(reference_load_edge_list, text, roles)
+def test_load_edge_list_matches_line_by_line_oracle(text):
+    assert outcome(load_edge_list, text) == outcome(reference_load_edge_list, text)
 
 
 @settings(deadline=None)

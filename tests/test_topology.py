@@ -10,6 +10,7 @@ from failprop.topology import (
     GeneratorParamError,
     Network,
     TopologyError,
+    _resolve,
     _scan,
     barabasi_albert,
     connected_components,
@@ -224,15 +225,6 @@ def test_load_edge_list_errors():
         load_edge_list("# nothing here\n")
 
 
-def test_load_edge_list_roles_override():
-    net = load_edge_list("0 1\n", roles={1: CONTROLLER})
-    assert net.roles[1] == CONTROLLER
-    net = load_edge_list("a b\n", roles={"b": CONTROLLER})
-    assert net.roles[1] == CONTROLLER
-    with pytest.raises(TopologyError, match="unknown node"):
-        load_edge_list("a b\n", roles={"c": CONTROLLER})
-
-
 def test_isolated_node_round_trip():
     # er(10, 0) has no edges at all; count must survive serialization
     net = erdos_renyi(10, 0.0)
@@ -381,9 +373,9 @@ def test_load_edge_list_aliases_follow_first_appearance():
     assert list(net.aliases.items()) == [("b", 0), ("c", 1), ("a", 2), ("d", 3), ("e", 4)]
     assert net.controller_prefs == {4: (3,), 0: (3,)}
     # a switch first named in [controllers] comes before its controllers
-    net = load_edge_list("a b\n[controllers]\nx:y,z\n",
-                         roles={"x": EDGE_SWITCH, "y": CONTROLLER, "z": CONTROLLER})
-    assert list(net.aliases) == ["a", "b", "x", "y", "z"]
+    # (roles are left out: a [roles] line would name x, y and z first)
+    *_, aliases = _resolve(*_scan("a b\n[controllers]\nx:y,z\n"))
+    assert list(aliases) == ["a", "b", "x", "y", "z"]
 
 
 def test_load_edge_list_reports_the_first_bad_line():
