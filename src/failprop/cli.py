@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 bad config or parameters, 3 topology problems,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -113,7 +114,7 @@ def cmd_epidemic(args) -> int:
         "model": cfg.model.model,
         "aggregate": agg.as_dict(),
         "replica0": {
-            "final_counts": dict(zip("SIRD", tr.counts[-1][1:])),
+            "final_counts": dict(zip("SIRD", tr.counts[-1])),
             "final_tick": tr.final_tick,
             "outbreak_size": agg.outbreak_sizes[0],
             "stabilization_tick": stab.tick,
@@ -127,7 +128,7 @@ def cmd_epidemic(args) -> int:
         out / "summary.json": _json_text(summary),
         out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds, aliases=net.aliases),
     })
-    s, i, r, d = tr.counts[-1][1:]
+    s, i, r, d = tr.counts[-1]
     _say(
         f"epidemic: {cfg.n_runs} run(s), replica0 final S={s} I={i} R={r} D={d}, "
         f"mean outbreak {agg.mean_outbreak:.4f}"
@@ -191,14 +192,7 @@ def cmd_sweep(args) -> int:
         base_seed=cfg.rng_seed, stop=cfg.stop, n_jobs=cfg.n_jobs,
     )
     th = result.threshold_estimate
-    summary = {
-        "grid": list(result.grid),
-        "response": list(result.response),
-        "stderr": list(result.stderr),
-        "n_runs": result.n_runs,
-        "epsilon": result.epsilon,
-        "threshold_estimate": th,
-    }
+    summary = {**dataclasses.asdict(result), "threshold_estimate": th}
     out = _out_dir(args, cfg)
     _write({
         out / "sweep.csv": result.csv(),
@@ -206,7 +200,7 @@ def cmd_sweep(args) -> int:
         out / "resolved-config.txt": cfgmod.render_resolved(cfg, seeds, aliases=net.aliases),
     })
     _say(
-        f"sweep: {len(result.grid)} point(s), "
+        f"sweep: {len(cfg.grid)} point(s), "
         f"threshold_estimate={'none' if th is None else th}"
     )
     return EXIT_OK

@@ -213,7 +213,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
             raise ConfigError("[model] needs a nonempty seeds= list")
 
     if "run" in sections:
-        # in file order, so the first bad line is the one reported
+        # every value is read, in file order, before the range checks below
         for key, value in _kv(sections["run"], "run", tuple(_RUN)).items():
             setattr(cfg, key, _RUN[key](value, key))
     if cfg.max_ticks < 1:

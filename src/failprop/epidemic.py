@@ -256,14 +256,13 @@ class SimulationTrace:
     """Full record of one run: per-tick counts plus the state-change log."""
 
     node_count: int
-    model: str
-    counts: list[tuple[int, int, int, int, int]]  # (tick, S, I, R, D)
+    counts: list[tuple[int, int, int, int]]  # (S, I, R, D); the index is the tick
     events: list[tuple[int, int, str, str]]  # (tick, node, from, to)
     final_states: tuple[str, ...]
 
     @property
     def final_tick(self) -> int:
-        return self.counts[-1][0]
+        return len(self.counts) - 1
 
     @property
     def ever_infected(self) -> set[int]:
@@ -271,7 +270,7 @@ class SimulationTrace:
 
     def counts_csv(self) -> str:
         lines = ["tick,S,I,R,D"]
-        lines += [f"{t},{s},{i},{r},{d}" for t, s, i, r, d in self.counts]
+        lines += [f"{t},{s},{i},{r},{d}" for t, (s, i, r, d) in enumerate(self.counts)]
         return "\n".join(lines) + "\n"
 
     def events_csv(self) -> str:
@@ -296,7 +295,7 @@ def run(
     """
     sv = _check_run(net, seeds, max_ticks, stop)
     counts, events, final, _ = _simulate(net, sv, p, max_ticks, stop, rng_seed, True)
-    return SimulationTrace(net.node_count, p.model, counts, events, final)
+    return SimulationTrace(net.node_count, counts, events, final)
 
 
 def _check_run(net: Network, seeds, max_ticks: int, stop: str, n_runs: int = 1) -> StateVector:
@@ -319,7 +318,7 @@ def _simulate(net, sv, p, max_ticks, stop, rng_seed, log):
     the start state `_check_run` returned. Replicas share that state:
     neither `step` nor `_advance` mutates the `active` list it is given.
 
-    Returns the (tick, S, I, R, D) rows, the event log and final states
+    Returns the per-tick (S, I, R, D) rows, the event log and final states
     (None without a log), and the number of distinct nodes ever infected.
     """
     rng = random.Random(rng_seed)
@@ -328,12 +327,12 @@ def _simulate(net, sv, p, max_ticks, stop, rng_seed, log):
     if not log:
         states, active, adj = list(sv.states), sv._active, net.adj
     ever = set(sv._active)
-    rows = [(0, *counts)]
+    rows = [counts]
 
     for t in range(1, max_ticks + 1):
-        if counts[1] == 0 and counts[3] == 0:  # no I, no D: nothing left to draw
+        if _absorbed(counts):
             if stop == "fixed_ticks":
-                rows.extend((x, *counts) for x in range(t, max_ticks + 1))
+                rows += [counts] * (max_ticks + 1 - t)
             break
         if log:
             prev, sv = sv.states, step(net, sv, p, rng)
@@ -341,10 +340,15 @@ def _simulate(net, sv, p, max_ticks, stop, rng_seed, log):
             events += [(t, v, prev[v], cur[v]) for v in sorted(sv._moved + caught)]
         else:
             active, counts, _, caught = _advance(adj, states, active, counts, p, rng)
-        rows.append((t, *counts))
+        rows.append(counts)
         ever.update(caught)
 
     return rows, events, sv.states if log else None, len(ever)
+
+
+def _absorbed(counts) -> bool:
+    """No I and no D: in every model no node has a move left to draw."""
+    return counts[1] == 0 and counts[3] == 0
 
 
 def _mean(xs) -> float:
@@ -370,8 +374,6 @@ class AggregateStats:
     """
 
     node_count: int
-    n_runs: int
-    ticks: list[int]
     mean_counts: list[tuple[float, float, float, float]]  # per tick (S, I, R, D)
     min_counts: list[tuple[int, int, int, int]]
     max_counts: list[tuple[int, int, int, int]]
@@ -390,8 +392,8 @@ class AggregateStats:
     def as_dict(self) -> dict:
         return {
             "node_count": self.node_count,
-            "n_runs": self.n_runs,
-            "ticks": self.ticks,
+            "n_runs": len(self.outbreak_sizes),
+            "ticks": list(range(len(self.mean_counts))),
             "mean_counts": [list(row) for row in self.mean_counts],
             "min_counts": [list(row) for row in self.min_counts],
             "max_counts": [list(row) for row in self.max_counts],
@@ -452,8 +454,6 @@ def monte_carlo(
 
     return AggregateStats(
         node_count=n,
-        n_runs=n_runs,
-        ticks=list(range(len(sums))),
         mean_counts=[tuple(x / n_runs for x in row) for row in sums],
         min_counts=[tuple(row) for row in mins],
         max_counts=[tuple(row) for row in maxs],
@@ -506,9 +506,9 @@ def _worker_task(task):
 
 
 def _fold(sums: list[int], mins: list[int], maxs: list[int], row) -> None:
-    """Add one (tick, S, I, R, D) row into per-compartment sum/min/max."""
+    """Add one (S, I, R, D) row into per-compartment sum/min/max."""
     for j in range(4):
-        x = row[j + 1]
+        x = row[j]
         sums[j] += x
         if x < mins[j]:
             mins[j] = x

@@ -9,6 +9,7 @@ from .epidemic import (
     EpidemicParams,
     SimulationTrace,
     StateVector,
+    _absorbed,
     _check_run,
     map_tasks,
     monte_carlo,
@@ -58,16 +59,17 @@ class StabilizationResult:
 def stabilization_time(trace: SimulationTrace) -> StabilizationResult:
     """Earliest tick from which compartment counts never change again.
 
-    When the counts are still moving at the final recorded tick, that
-    tick is returned with stabilized=False.
+    A last row with no I and no D is a fixed point. Otherwise, when the
+    counts still move at the final recorded tick, that tick is returned
+    with stabilized=False.
     """
-    rows = [row[1:] for row in trace.counts]
-    if len(rows) >= 2 and rows[-1] != rows[-2]:
-        return StabilizationResult(trace.counts[-1][0], False)
+    rows = trace.counts
     i = len(rows) - 1
+    if i and rows[i - 1] != rows[i] and not _absorbed(rows[i]):
+        return StabilizationResult(i, False)
     while i > 0 and rows[i - 1] == rows[-1]:
         i -= 1
-    return StabilizationResult(trace.counts[i][0], True)
+    return StabilizationResult(i, True)
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def test_ac04_sid_population_is_conserved_every_tick():
         seeds = set(master.sample(range(50), master.randrange(1, 6)))
         trace = run(net, seeds, p, max_ticks=60, stop="absorb",
                     rng_seed=derive_seed(9001, i))
-        for _tick, s, inf, r, d in trace.counts:
+        for s, inf, r, d in trace.counts:
             assert r == 0
             assert s + inf + d == 50
 

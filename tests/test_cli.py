@@ -63,6 +63,15 @@ def test_epidemic_minimal_run(tmp_path, capsys):
     assert "epidemic:" in err
 
 
+def test_epidemic_preset_that_dies_out_reports_stabilized(tmp_path):
+    out = tmp_path / "out"
+    assert main(["epidemic", "--config", "fig3-sid", "--out", str(out)]) == 0
+    replica0 = json.loads(read(out / "summary.json"))["replica0"]
+    assert replica0["final_counts"] == {"S": 10, "I": 0, "R": 0, "D": 0}
+    assert replica0["final_tick"] == replica0["stabilization_tick"] == 41
+    assert replica0["stabilized"] is True
+
+
 def test_epidemic_invalid_beta_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SI_RING_CFG.replace("beta=0.7", "beta=1.5"))
     assert main(["epidemic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

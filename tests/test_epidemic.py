@@ -287,7 +287,7 @@ def test_derive_seed_rejects_a_negative_replica_index():
 def test_run_tick0_reflects_seeds():
     net = ring(5)
     tr = run(net, {1, 3}, EpidemicParams("SI", beta=0.0), 5, stop="fixed_ticks")
-    assert tr.counts[0] == (0, 3, 2, 0, 0)
+    assert tr.counts[0] == (3, 2, 0, 0)
     assert tr.events[:2] == [(0, 1, "S", "I"), (0, 3, "S", "I")]
 
 
@@ -295,14 +295,14 @@ def test_run_fixed_ticks_row_count():
     net = ring(5)
     tr = run(net, {0}, EpidemicParams("SIS", beta=0.2, delta1=0.3), 40,
              stop="fixed_ticks", rng_seed=4)
-    assert [row[0] for row in tr.counts] == list(range(41))
+    assert len(tr.counts) == 41
 
 
 def test_run_absorb_stops_at_clear_state():
     net = ring(5)
     tr = run(net, {0}, EpidemicParams("SIS", beta=0.0, delta1=1.0), 50, rng_seed=1)
     # recovery is certain and nothing spreads: I is gone after one step
-    assert tr.counts[-1] == (1, 5, 0, 0, 0)
+    assert tr.counts[-1] == (5, 0, 0, 0)
     assert len(tr.counts) == 2
 
 
@@ -310,7 +310,7 @@ def test_run_sis_beta_zero_i_count_nonincreasing():
     net = complete(6)
     tr = run(net, set(range(6)), EpidemicParams("SIS", beta=0.0, delta1=0.3),
              500, rng_seed=8)
-    i_counts = [row[2] for row in tr.counts]
+    i_counts = [row[1] for row in tr.counts]
     assert all(a >= b for a, b in zip(i_counts, i_counts[1:]))
     assert i_counts[-1] == 0
 
@@ -319,7 +319,7 @@ def test_run_after_absorption_rows_frozen():
     net = ring(6)
     tr = run(net, {0}, EpidemicParams("SIR", beta=0.3, delta1=0.5), 80,
              stop="fixed_ticks", rng_seed=13)
-    rows = [row[1:] for row in tr.counts]
+    rows = tr.counts
     # find absorption (no I; SIR has no D) and check the tail never moves
     for k, row in enumerate(rows):
         if row[1] == 0:
@@ -400,7 +400,7 @@ def test_monte_carlo_single_run_equals_run():
     p = EpidemicParams("SIS", beta=0.3, delta1=0.2)
     agg = monte_carlo(net, {0}, p, 30, "fixed_ticks", n_runs=1, base_seed=5)
     tr = run(net, {0}, p, 30, "fixed_ticks", derive_seed(5, 0))
-    assert [tuple(map(float, row[1:])) for row in tr.counts] == agg.mean_counts
+    assert [tuple(map(float, row)) for row in tr.counts] == agg.mean_counts
     assert agg.outbreak_sizes == [len(tr.ever_infected) / 8]
 
 

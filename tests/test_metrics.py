@@ -4,6 +4,7 @@ from failprop.cascades import HorizontalScenario, VerticalScenario, run_horizont
 from failprop.epidemic import EpidemicParams, SimulationTrace, StateVector, run
 from failprop.metrics import (
     MetricsError,
+    StabilizationResult,
     SweepResult,
     dp_connectivity,
     outbreak_size,
@@ -18,13 +19,13 @@ def complete(n):
 
 
 def make_trace(node_count, counts, events):
-    return SimulationTrace(node_count, "SID", counts, events, ("S",) * node_count)
+    return SimulationTrace(node_count, counts, events, ("S",) * node_count)
 
 
 # --- outbreak size -----------------------------------------------------------
 
 def test_outbreak_size_empty():
-    tr = make_trace(10, [(0, 10, 0, 0, 0)], [])
+    tr = make_trace(10, [(10, 0, 0, 0)], [])
     assert outbreak_size(tr) == 0.0
 
 
@@ -36,7 +37,7 @@ def test_outbreak_size_full_sweep():
 
 def test_outbreak_size_counts_distinct_infected_nodes():
     events = [(0, 0, "S", "I"), (1, 0, "I", "S"), (2, 0, "S", "I"), (2, 3, "S", "I")]
-    tr = make_trace(10, [(0, 9, 1, 0, 0)], events)
+    tr = make_trace(10, [(9, 1, 0, 0)], events)
     assert outbreak_size(tr) == 0.2  # nodes 0 and 3, re-entry not double counted
 
 
@@ -83,7 +84,7 @@ def test_dp_connectivity_length_mismatch():
 # --- stabilization time ------------------------------------------------------
 
 def test_stabilization_all_quiet_from_start():
-    tr = make_trace(5, [(t, 5, 0, 0, 0) for t in range(4)], [])
+    tr = make_trace(5, [(5, 0, 0, 0)] * 4, [])
     res = stabilization_time(tr)
     assert res.tick == 0 and res.stabilized
 
@@ -96,14 +97,29 @@ def test_stabilization_si_frontier_depth():
 
 
 def test_stabilization_still_moving_at_horizon():
-    counts = [(t, 5 - (t % 2), t % 2, 0, 0) for t in range(101)]
+    # ends on an I = 1 row: an all-S row would be absorbed, so stabilized
+    counts = [(5 - (t % 2), t % 2, 0, 0) for t in range(100)]
     tr = make_trace(5, counts, [])
     res = stabilization_time(tr)
-    assert res.tick == 100 and not res.stabilized
+    assert res.tick == 99 and not res.stabilized
+
+
+@pytest.mark.parametrize("model, params", [
+    ("SIS", {"beta": 0.3, "delta1": 0.5}),
+    ("SIR", {"beta": 0.5, "delta1": 0.5}),
+    ("SID", {"beta": 0.4, "delta1": 0.1, "tau": 0.2, "gamma": 0.05}),
+])
+def test_stabilization_of_a_run_that_died_out(model, params):
+    # the last row (no I, no D) differs from the row before it, but it is a
+    # fixed point: the run stabilized at the tick it died out
+    tr = run(ring(10), {0}, EpidemicParams(model, **params), 200, rng_seed=42)
+    assert tr.final_tick < 200 and tr.counts[-1][1] == tr.counts[-1][3] == 0
+    assert tr.counts[-2] != tr.counts[-1]
+    assert stabilization_time(tr) == StabilizationResult(tr.final_tick, True)
 
 
 def test_stabilization_single_row():
-    tr = make_trace(3, [(0, 3, 0, 0, 0)], [])
+    tr = make_trace(3, [(3, 0, 0, 0)], [])
     assert stabilization_time(tr) == stabilization_time(tr)
     assert stabilization_time(tr).tick == 0
 

@@ -281,12 +281,12 @@ def test_run_counts_and_events_match_full_diff(case, seed):
     traj = reference_trajectory(net, seeds, p, max_ticks, stop, seed)
 
     for row in tr.counts:
-        assert sum(row[1:]) == n
-    recount = [(sv.tick, *sv.counts()) for sv in traj]
+        assert sum(row) == n
+    recount = [sv.counts() for sv in traj]
     assert tr.counts[:len(traj)] == recount
     if stop == "fixed_ticks":
-        assert [row[0] for row in tr.counts] == list(range(max_ticks + 1))
-        assert all(row[1:] == recount[-1][1:] for row in tr.counts[len(traj):])
+        assert len(tr.counts) == max_ticks + 1
+        assert all(row == recount[-1] for row in tr.counts[len(traj):])
     else:
         assert len(tr.counts) == len(traj)
 
@@ -303,7 +303,7 @@ def test_run_counts_and_events_match_full_diff(case, seed):
 def brute_force_aggregate(traces, n):
     """Aggregate held traces the obvious way: pad each with its final row."""
     length = max(len(tr.counts) for tr in traces)
-    padded = [[tr.counts[min(t, len(tr.counts) - 1)][1:] for t in range(length)]
+    padded = [[tr.counts[min(t, len(tr.counts) - 1)] for t in range(length)]
               for tr in traces]
     columns = [[[rows[t][j] for rows in padded] for j in range(4)] for t in range(length)]
     return {
@@ -352,9 +352,9 @@ def test_streaming_monte_carlo_ragged_replicas():
 def test_population_is_conserved_and_states_stay_in_the_model(case, seed):
     net, seeds, p, max_ticks, stop = case
     tr = run(net, seeds, p, max_ticks, stop, seed)
-    assert all(s + i + r + d == net.node_count for _, s, i, r, d in tr.counts)
+    assert all(s + i + r + d == net.node_count for s, i, r, d in tr.counts)
     seen = {state for _, _, a, b in tr.events for state in (a, b)}
-    seen |= {state for row in tr.counts for state, c in zip("SIRD", row[1:]) if c}
+    seen |= {state for row in tr.counts for state, c in zip("SIRD", row) if c}
     assert seen <= _LEGAL[p.model]
 
 
@@ -382,9 +382,9 @@ def test_counts_only_replica_matches_full_scan_oracle(case, base_seed, i):
     # and scans every node, so a node written too early shows up here
     net, seeds, p, max_ticks, stop = case
     traj = reference_trajectory(net, seeds, p, max_ticks, stop, derive_seed(base_seed, i))
-    rows = [(sv.tick, *sv.counts()) for sv in traj]
+    rows = [sv.counts() for sv in traj]
     if stop == "fixed_ticks":
-        rows += [(t, *rows[-1][1:]) for t in range(len(rows), max_ticks + 1)]
+        rows += [rows[-1]] * (max_ticks + 1 - len(rows))
     infected = {v for sv in traj for v, x in enumerate(sv.states) if x == I}
     job = (net, initial_state(net, seeds), p, max_ticks, stop, base_seed)
     assert failprop.epidemic._replica(job, i) == (rows, len(infected))
@@ -417,7 +417,7 @@ def test_monte_carlo_steps_only_replica_0(monkeypatch, stop):
     agg = monte_carlo(ring(12), {0, 6}, p, 60, stop, n_runs=4, base_seed=2, n_jobs=1)
     # one call per tick replica 0 simulated: none for the rows carried past
     # its absorption, none for replicas 1..3
-    simulated = [t for t, _, i, _, d in agg.replica0.counts if i or d]
+    simulated = [t for t, (_, i, _, d) in enumerate(agg.replica0.counts) if i or d]
     assert calls == simulated and len(simulated) < 60  # replica 0 absorbed early
 
 
