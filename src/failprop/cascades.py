@@ -8,6 +8,13 @@ Both iterations are monotone (failed stays failed), so the outcome does
 not depend on evaluation order; the final recorded round is always the
 quiet one that confirmed the fixed point.
 
+A round records only what it decided: the loads of the subjects still up
+(a controller or node missing from them failed in an earlier round), the
+ones it failed, and the switches' picks (vertical) or the dropped flows
+(horizontal). `CascadeTrace` reads the rest off the rounds: a round's
+number is its position, `failed` is the union of the rounds' failures,
+and `assignment`, the failover map, folds the picks in order.
+
 Rounds are incremental, and exactly equal to recomputing from scratch,
 because a round only ever removes nodes (or controllers):
 
@@ -180,11 +187,9 @@ def assign_switches(net: Network, failed_controllers: set[int],
 
 @dataclass(frozen=True)
 class VerticalRound:
-    index: int
-    assignment: dict[int, int | None]
+    picked: dict[int, int | None]  # what `assign_switches` returned this round
     loads: dict[int, float]  # live controllers only
     failed_now: frozenset[int]
-    failed_before: frozenset[int]
 
 
 def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
@@ -209,7 +214,7 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
     held: dict[int, tuple[list[int], list[float]]] = {c: ([], []) for c in controllers}
     total: dict[int, float] = dict.fromkeys(controllers, 0.0)
     # the switches that pick a controller this round, and their picks
-    picked = assignment = assign_switches(net, failed)
+    picked = assign_switches(net, failed)
     while True:
         gained = set()
         for sw, c in picked.items():
@@ -231,12 +236,11 @@ def run_vertical(net: Network, sc: VerticalScenario) -> "CascadeTrace":
             c for c, load in loads.items()
             if load > sc.controller_capacity.get(c, INF)
         )
-        rounds.append(VerticalRound(len(rounds) + 1, assignment, loads, now, frozenset(failed)))
+        rounds.append(VerticalRound(picked, loads, now))
         if not now:
             break
         failed |= now
         picked = assign_switches(net, failed, chain.from_iterable(held.pop(c)[0] for c in now))
-        assignment = {**assignment, **picked}  # every key is already there: order kept
     assert len(rounds) <= len(controllers) + 1
     return CascadeTrace("vertical", net, sc, tuple(rounds), tuple(warnings))
 
@@ -362,11 +366,9 @@ def compute_loads(net: Network, alive: set[int], sc: HorizontalScenario,
 
 @dataclass(frozen=True)
 class HorizontalRound:
-    index: int
     loads: dict[int, float]  # alive nodes only
     dropped: tuple[tuple[str, int, int, float], ...]
     failed_now: frozenset[int]
-    failed_before: frozenset[int]
 
 
 def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
@@ -380,7 +382,6 @@ def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
     """
     warnings = validate_horizontal(net, sc)
     alive = {v for v in range(net.node_count) if net.roles[v] != CONTROLLER}
-    failed: set[int] = set()
     rounds: list[HorizontalRound] = []
     lm = None
     while True:
@@ -389,12 +390,9 @@ def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
             v for v, load in lm.load.items()
             if load > sc.node_capacity.get(v, INF)
         )
-        rounds.append(
-            HorizontalRound(len(rounds) + 1, lm.load, lm.dropped, now, frozenset(failed))
-        )
+        rounds.append(HorizontalRound(lm.load, lm.dropped, now))
         if not now:
             break
-        failed |= now
         alive -= now
     assert len(rounds) <= net.node_count
     return CascadeTrace("horizontal", net, sc, tuple(rounds), tuple(warnings))
@@ -405,8 +403,9 @@ def run_horizontal(net: Network, sc: HorizontalScenario) -> "CascadeTrace":
 
 @dataclass(frozen=True)
 class CascadeTrace:
-    """Round-by-round record of one cascade run. The last round is the quiet
-    one, so it holds the fixed point."""
+    """Round-by-round record of one cascade run. Round r is `rounds[r - 1]`
+    and holds only what that round decided; the last round is the quiet one,
+    so its loads and dropped flows are the fixed point's."""
 
     kind: str  # "vertical" | "horizontal"
     net: Network = field(repr=False)
@@ -414,15 +413,22 @@ class CascadeTrace:
     rounds: tuple
     warnings: tuple[str, ...]
 
-    @property
+    @cached_property
     def failed(self) -> frozenset[int]:
         """Every controller (vertical) or node (horizontal) that failed."""
-        return self.rounds[-1].failed_before
+        return frozenset().union(*(rnd.failed_now for rnd in self.rounds))
+
+    @cached_property
+    def assignment(self) -> dict[int, int | None]:
+        """Vertical only: each switch's controller at the fixed point (None
+        when it has none), the rounds' picks folded in order. A later pick
+        overwrites an earlier one in place, so the keys keep switch order."""
+        return dict(chain.from_iterable(rnd.picked.items() for rnd in self.rounds))
 
     @cached_property
     def orphaned_switches(self) -> frozenset[int]:
         """Vertical only: the switches with no live controller at the end."""
-        return frozenset(sw for sw, c in self.rounds[-1].assignment.items() if c is None)
+        return frozenset(sw for sw, c in self.assignment.items() if c is None)
 
     def failed_fraction(self) -> float:
         """Terminal failed share of the network for either cascade kind.
@@ -448,17 +454,18 @@ class CascadeTrace:
         columns = [(s, _fmt(caps.get(s, INF))) for s in subjects]
         text = {}  # each distinct load is formatted once
         lines = [header]
-        for rnd in self.rounds:
+        for r, rnd in enumerate(self.rounds, 1):
+            loads = rnd.loads  # a subject absent from it failed in an earlier round
             for subject, cap in columns:
-                if subject in rnd.failed_before:
+                if subject not in loads:
                     load, status = "", "down"
                 else:
-                    x = rnd.loads[subject]
+                    x = loads[subject]
                     if x not in text:
                         text[x] = _fmt(x)
                     load = text[x]
                     status = "failed" if subject in rnd.failed_now else "ok"
-                lines.append(f"{rnd.index},{subject},{load},{cap},{status}")
+                lines.append(f"{r},{subject},{load},{cap},{status}")
         return "\n".join(lines) + "\n"
 
     def events_csv(self) -> str:
@@ -466,10 +473,10 @@ class CascadeTrace:
         lists the switches orphaned at the fixed point, under the last round."""
         event = "controller_failed" if self.kind == "vertical" else "node_failed"
         lines = ["round,event,subject"]
-        for rnd in self.rounds:
-            lines += [f"{rnd.index},{event},{v}" for v in sorted(rnd.failed_now)]
+        for r, rnd in enumerate(self.rounds, 1):
+            lines += [f"{r},{event},{v}" for v in sorted(rnd.failed_now)]
         if self.kind == "vertical":
-            last = self.rounds[-1].index
+            last = len(self.rounds)
             lines += [f"{last},switch_orphaned,{sw}"
                       for sw in sorted(self.orphaned_switches)]
         return "\n".join(lines) + "\n"
@@ -479,9 +486,9 @@ class CascadeTrace:
         if self.kind != "horizontal":
             raise ScenarioError("dropped log exists only for horizontal cascades")
         lines = ["round,kind,src,dst,volume"]
-        for rnd in self.rounds:
+        for r, rnd in enumerate(self.rounds, 1):
             for kind, src, dst, volume in rnd.dropped:
-                lines.append(f"{rnd.index},{kind},{src},{dst},{_fmt(volume)}")
+                lines.append(f"{r},{kind},{src},{dst},{_fmt(volume)}")
         return "\n".join(lines) + "\n"
 
     def terminal_json(self) -> str:
@@ -496,7 +503,7 @@ class CascadeTrace:
         if self.kind == "vertical":
             payload["failed_controllers"] = sorted(self.failed)
             payload["orphaned_switches"] = sorted(self.orphaned_switches)
-            payload["assignment"] = {str(sw): c for sw, c in last.assignment.items()}
+            payload["assignment"] = {str(sw): c for sw, c in self.assignment.items()}
         else:
             payload["failed_nodes"] = sorted(self.failed)
             payload["dropped"] = [list(d) for d in last.dropped]

@@ -57,19 +57,15 @@ class StabilizationResult:
 
 
 def stabilization_time(trace: SimulationTrace) -> StabilizationResult:
-    """Earliest tick from which compartment counts never change again.
+    """The tick of the last state change in the event log (0 if it has none).
 
-    A last row with no I and no D is a fixed point. Otherwise, when the
-    counts still move at the final recorded tick, that tick is returned
-    with stabilized=False.
+    The run stabilized when no node moved at the final recorded tick, or
+    when the last row has no I and no D (a fixed point in every model).
+    Equal counts do not mean no node moved: an SIS node that recovers in
+    the tick another is infected leaves them as they were.
     """
-    rows = trace.counts
-    i = len(rows) - 1
-    if i and rows[i - 1] != rows[i] and not _absorbed(rows[i]):
-        return StabilizationResult(i, False)
-    while i > 0 and rows[i - 1] == rows[-1]:
-        i -= 1
-    return StabilizationResult(i, True)
+    t = trace.events[-1][0] if trace.events else 0
+    return StabilizationResult(t, t < trace.final_tick or _absorbed(trace.counts[-1]))
 
 
 @dataclass(frozen=True)

@@ -202,22 +202,6 @@ def test_vertical_failover_chain():
     assert tr.orphaned_switches == frozenset(range(6))
 
 
-def test_vertical_failed_set_grows_monotonically():
-    prefs = {sw: [0, 1] for sw in range(3)}
-    prefs.update({sw: [1, 0] for sw in range(3, 6)})
-    net = star_net(6, prefs)
-    sc = VerticalScenario({6: 100.0, 7: 100.0}, {sw: 10.0 for sw in range(6)},
-                          attack=(0, 150.0))
-    tr = run_vertical(net, sc)
-    # each round starts from every failure of the rounds before it
-    assert tr.rounds[0].failed_before == frozenset()
-    for prev, rnd in zip(tr.rounds, tr.rounds[1:]):
-        assert rnd.failed_before == prev.failed_before | prev.failed_now
-    for rnd in tr.rounds:
-        assert not rnd.failed_before & rnd.failed_now
-    assert len(tr.rounds) <= len(net.controllers()) + 1
-
-
 def test_vertical_no_attack_under_capacity_nothing_fails():
     prefs = {sw: [0, 1] for sw in range(4)}
     net = star_net(4, prefs)
@@ -464,12 +448,12 @@ def test_horizontal_per_round_flows_routed_or_dropped():
     sc = HorizontalScenario({v: 10.0 for v in (1, 2, 3, 4)},
                             demands=[(0, 5, 1.0)], injection=(0, 5, 15.0))
     tr = run_horizontal(net, sc)
+    alive = {v for v in range(net.node_count) if net.roles[v] != "controller"}
     for rnd in tr.rounds:
-        alive = {v for v in range(net.node_count)
-                 if net.roles[v] != "controller"} - set(rnd.failed_before)
         for kind, src, dst, vol in [("demand", 0, 5, 1.0), ("injection", 0, 5, 15.0)]:
             routable = route_demand(net, alive, src, dst) is not None
             assert routable == ((kind, src, dst, vol) not in rnd.dropped)
+        alive -= rnd.failed_now
 
 
 def test_horizontal_csv_and_dropped_log():

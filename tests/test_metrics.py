@@ -97,11 +97,22 @@ def test_stabilization_si_frontier_depth():
 
 
 def test_stabilization_still_moving_at_horizon():
-    # ends on an I = 1 row: an all-S row would be absorbed, so stabilized
+    # ends on an I = 1 row: an all-S row would be absorbed, so stabilized;
+    # node 0 is infected at each odd tick and recovers at each even one
     counts = [(5 - (t % 2), t % 2, 0, 0) for t in range(100)]
-    tr = make_trace(5, counts, [])
+    events = [(t, 0, "I", "S") if t % 2 == 0 else (t, 0, "S", "I") for t in range(1, 100)]
+    tr = make_trace(5, counts, events)
     res = stabilization_time(tr)
     assert res.tick == 99 and not res.stabilized
+
+
+def test_stabilization_reads_the_moves_not_the_counts():
+    # the run ends on two equal (2, 8, 0, 0) rows, but at tick 60 two nodes
+    # are infected while another recovers, so it has not stabilized
+    tr = run(ring(10), {0}, EpidemicParams("SIS", beta=0.5, delta1=0.2), 60,
+             stop="fixed_ticks", rng_seed=2)
+    assert tr.counts[-2] == tr.counts[-1] == (2, 8, 0, 0)
+    assert stabilization_time(tr) == StabilizationResult(60, False)
 
 
 @pytest.mark.parametrize("model, params", [

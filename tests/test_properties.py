@@ -758,7 +758,7 @@ def reference_run_vertical(net, sc):
             c for c, load in loads.items()
             if load > sc.controller_capacity.get(c, INF)
         )
-        rounds.append(VerticalRound(len(rounds) + 1, assignment, loads, now, frozenset(failed)))
+        rounds.append(VerticalRound(assignment, loads, now))  # every switch picks again
         if not now:
             break
         failed |= now
@@ -768,7 +768,6 @@ def reference_run_vertical(net, sc):
 def reference_run_horizontal(net, sc):
     warnings = validate_horizontal(net, sc)
     alive = {v for v in range(net.node_count) if net.roles[v] != CONTROLLER}
-    failed = set()
     rounds = []
     while True:
         load, dropped, _ = reference_compute_loads(net, alive, sc)
@@ -776,16 +775,17 @@ def reference_run_horizontal(net, sc):
             v for v, x in load.items()
             if x > sc.node_capacity.get(v, INF)
         )
-        rounds.append(HorizontalRound(len(rounds) + 1, load, dropped, now, frozenset(failed)))
+        rounds.append(HorizontalRound(load, dropped, now))
         if not now:
             break
-        failed |= now
         alive -= now
     return CascadeTrace("horizontal", net, sc, tuple(rounds), tuple(warnings))
 
 
 def reference_csv(trace):
-    """CascadeTrace.csv as it was, with subjects and capacities per row."""
+    """CascadeTrace.csv as it was, with subjects and capacities per row; a
+    subject is down once an earlier round has failed it, whatever the loads
+    hold."""
     if trace.kind == "vertical":
         subjects = trace.net.controllers()
         caps = trace.scenario.controller_capacity
@@ -796,15 +796,17 @@ def reference_csv(trace):
         caps = trace.scenario.node_capacity
         header = "round,node,load,capacity,status"
     lines = [header]
-    for rnd in trace.rounds:
+    down = set()
+    for r, rnd in enumerate(trace.rounds, 1):
         for subject in subjects:
-            if subject in rnd.failed_before:
+            if subject in down:
                 load, status = "", "down"
             elif subject in rnd.failed_now:
                 load, status = _fmt(rnd.loads[subject]), "failed"
             else:
                 load, status = _fmt(rnd.loads[subject]), "ok"
-            lines.append(f"{rnd.index},{subject},{load},{_fmt(caps.get(subject, INF))},{status}")
+            lines.append(f"{r},{subject},{load},{_fmt(caps.get(subject, INF))},{status}")
+        down |= rnd.failed_now
     return "\n".join(lines) + "\n"
 
 
@@ -959,6 +961,15 @@ def test_incremental_assignment_matches_full_over_growing_failed_sets(data, case
         failed = failed | data.draw(st.sets(st.sampled_from(ctrls)))
 
 
+def check_picks_fold_to_the_oracle(got, expected):
+    # the engine's picks over rounds 1..r, folded in order, are the oracle's
+    # round-r map from scratch: keys in switch order, values equal
+    assignment = {}
+    for a, b in zip(got.rounds, expected.rounds, strict=True):
+        assignment.update(a.picked)
+        assert list(assignment.items()) == list(b.picked.items())
+
+
 def check_same_trace(got, expected):
     assert got.csv() == reference_csv(expected)
     assert got.terminal_json() == expected.terminal_json()
@@ -1000,14 +1011,15 @@ def test_horizontal_run_on_a_40x40_grid_matches_the_oracles(monkeypatch):
         routed.setdefault(alive, []).append((src, dst, path))
     # each round against a full reroute; the calls made in a round are checked
     # against the oracle's path for the same flow over the same alive set
+    alive = set(range(n))
     for rnd in trace.rounds:
-        alive = set(range(n)) - rnd.failed_before
         load, dropped, paths = reference_compute_loads(net, alive, sc)
         assert exact(rnd.loads) == exact(load)
         assert rnd.dropped == dropped
         oracle = {(d.src, d.dst): path for d, path in zip(sc.demands, paths)}
         for src, dst, path in routed.pop(frozenset(alive), ()):
             assert path == oracle[src, dst]
+        alive -= rnd.failed_now
     assert not routed
     calls.clear()
     run_horizontal(net, HorizontalScenario(caps, demands, misroute=True))
@@ -1036,15 +1048,16 @@ def test_horizontal_run_routes_the_flows_that_crossed_a_failed_node(monkeypatch,
     monkeypatch.setattr(failprop.cascades, "route_demand", counting_route)
     trace = run_horizontal(net, sc)
     expected = Counter()
+    alive = frozenset(range(n))
     last = None  # the round before: its oracle paths and its failed_now
     for rnd in trace.rounds:
-        alive = frozenset(range(n)) - rnd.failed_before
         if last is None:
             expected[alive] = len(demands)
         else:
             paths, failed = last
             expected[alive] = sum(p is not None and not failed.isdisjoint(p) for p in paths)
         last = reference_compute_loads(net, set(alive), sc)[2], rnd.failed_now
+        alive -= rnd.failed_now
     assert len(trace.rounds) > 2
     assert calls == expected
 
@@ -1055,8 +1068,7 @@ def test_vertical_run_matches_full_recompute_oracle(case):
     net, sc = case
     got, expected = run_vertical(net, sc), reference_run_vertical(net, sc)
     check_same_trace(got, expected)
-    for a, b in zip(got.rounds, expected.rounds):
-        assert list(a.assignment.items()) == list(b.assignment.items())
+    check_picks_fold_to_the_oracle(got, expected)
 
 
 @settings(deadline=None)
@@ -1107,8 +1119,7 @@ def test_vertical_run_with_2000_switches_matches_the_oracle_bit_for_bit():
     assert len(expected.rounds) >= 4
     assert 0 < len(expected.failed) < len(net.controllers())
     check_same_trace(got, expected)
-    for a, b in zip(got.rounds, expected.rounds):
-        assert list(a.assignment.items()) == list(b.assignment.items())
+    check_picks_fold_to_the_oracle(got, expected)
 
 
 def test_vertical_run_reassigns_the_switches_of_the_failed_controllers(monkeypatch):
@@ -1130,22 +1141,27 @@ def test_vertical_run_reassigns_the_switches_of_the_failed_controllers(monkeypat
     assert len(rounds) >= 4
     assert len(calls) == len(trace.rounds) == len(rounds)
     assert calls[0] is None
-    for prev, got in zip(rounds, calls[1:]):
-        expected = [sw for sw, c in prev.assignment.items() if c in prev.failed_now]
+    assert list(trace.rounds[0].picked) == list(net.switches())
+    for prev, got, rnd in zip(rounds, calls[1:], trace.rounds[1:]):
+        expected = [sw for sw, c in prev.picked.items() if c in prev.failed_now]
         assert expected
         assert sorted(got) == expected
+        assert list(rnd.picked) == got
 
 
 def reference_terminal_json(trace):
     """CascadeTrace.terminal_json as it was: the pure-Python indented encoder."""
     last = trace.rounds[-1]
     if trace.kind == "vertical":
+        assignment = {}
+        for rnd in trace.rounds:
+            assignment.update(rnd.picked)
         payload = {
             "kind": "vertical",
             "rounds": len(trace.rounds),
             "failed_controllers": sorted(trace.failed),
             "orphaned_switches": sorted(trace.orphaned_switches),
-            "assignment": {str(sw): c for sw, c in last.assignment.items()},
+            "assignment": {str(sw): c for sw, c in assignment.items()},
             "loads": {str(c): load for c, load in last.loads.items()},
         }
     else:
@@ -1169,20 +1185,24 @@ node_ids = st.integers(0, 10**6)
 
 @st.composite
 def drawn_terminals(draw):
-    """Fixed points an engine may never produce: a last round with any ids,
-    loads, assignment, dropped flows and warnings, repeated 1-99 times."""
+    """Fixed points an engine may never produce: a round that fails any ids,
+    then a last round with any loads, picks, dropped flows and warnings,
+    repeated 1-99 times."""
     failed = frozenset(draw(st.sets(node_ids, max_size=6)))
     loads = draw(st.dictionaries(node_ids, json_floats, max_size=8))
     warnings = tuple(draw(st.lists(st.text(max_size=12), max_size=3)))
     count = draw(st.integers(1, 99))
     if draw(st.booleans()):
-        assignment = draw(st.dictionaries(node_ids, st.one_of(st.none(), node_ids), max_size=8))
-        last = VerticalRound(count, assignment, loads, frozenset(), failed)
-        return CascadeTrace("vertical", ring(3), None, (last,) * count, warnings)
+        first, picked = (draw(st.dictionaries(node_ids, st.one_of(st.none(), node_ids),
+                                              max_size=8)) for _ in range(2))
+        rounds = (VerticalRound(first, {}, failed),
+                  *(VerticalRound(picked, loads, frozenset()),) * count)
+        return CascadeTrace("vertical", ring(3), None, rounds, warnings)
     flow = st.tuples(st.sampled_from(("demand", "injection")), node_ids, node_ids, json_floats)
-    last = HorizontalRound(count, loads, tuple(draw(st.lists(flow, max_size=3))),
-                           frozenset(), failed)
-    return CascadeTrace("horizontal", ring(3), None, (last,) * count, warnings)
+    rounds = (HorizontalRound({}, (), failed),
+              *(HorizontalRound(loads, tuple(draw(st.lists(flow, max_size=3))),
+                                frozenset()),) * count)
+    return CascadeTrace("horizontal", ring(3), None, rounds, warnings)
 
 
 @settings(deadline=None, max_examples=200)
@@ -1209,13 +1229,29 @@ def test_the_last_round_is_the_fixed_point(trace):
         }
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(vertical_cases().map(lambda case: run_vertical(*case)),
+                 horizontal_cases().map(lambda case: run_horizontal(*case))))
+def test_a_round_loads_exactly_the_subjects_no_earlier_round_failed(trace):
+    # csv writes a subject missing from a round's loads as down, so the loads
+    # cover exactly the controllers (or data-plane nodes) that failed in no
+    # earlier round, and a round fails only subjects it loads
+    net = trace.net
+    up = set(net.controllers() if trace.kind == "vertical" else
+             (v for v in range(net.node_count) if net.roles[v] != CONTROLLER))
+    for rnd in trace.rounds:
+        assert rnd.loads.keys() == up
+        assert rnd.failed_now <= up
+        up -= rnd.failed_now
+
+
 def reference_events_csv(trace):
     event = "controller_failed" if trace.kind == "vertical" else "node_failed"
     lines = ["round,event,subject"]
-    for rnd in trace.rounds:
-        lines += [f"{rnd.index},{event},{v}" for v in sorted(rnd.failed_now)]
+    for r, rnd in enumerate(trace.rounds, 1):
+        lines += [f"{r},{event},{v}" for v in sorted(rnd.failed_now)]
     if trace.kind == "vertical":
-        last = trace.rounds[-1].index
+        last = len(trace.rounds)
         lines += [
             f"{last},switch_orphaned,{sw}"
             for sw in sorted(trace.orphaned_switches)

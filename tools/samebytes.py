@@ -12,6 +12,9 @@ empty working and output directory. The runs are:
   [sweep], `epidemic` otherwise;
 - `validate --config` on each preset, and `validate` on each preset
   edge-list file;
+- `gen` once per generator (ring, grid, er, ba) at fixed small parameters
+  and seeds, with `--out` naming the output directory (a trailing `/`), so
+  the `.edges` file is one of the compared output files;
 - the four benchmark workloads at each seed of --seeds (default: 1 23).
   Their inputs are written once per workload and seed by PARENT's
   perfbench/workloads.py (imported without writing bytecode), and both
@@ -37,6 +40,8 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("epidemic-ba", "sweep-sir", "cascade-grid", "cascade-vertical")
+GEN_RUNS = (("ring", "12"), ("grid", "3", "4"), ("er", "30", "0.1", "--seed", "5"),
+            ("ba", "30", "2", "--seed", "9"))
 
 
 def preset_runs(presets: Path) -> list[tuple[str, tuple[str, ...]]]:
@@ -60,7 +65,8 @@ def run_side(checkout: Path, argv: tuple[str, ...], work: Path, masks: dict[str,
     env = {k: v for k, v in os.environ.items() if k != "FAILPROP_OUT"}
     env["PYTHONPATH"] = str(checkout / "src")
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    extra = () if argv[0] == "validate" else ("--out", str(out))
+    extra = (() if argv[0] == "validate" else
+             ("--out", f"{out}{os.sep}") if argv[0] == "gen" else ("--out", str(out)))
     proc = subprocess.run([sys.executable, "-m", "failprop.cli", *argv, *extra], cwd=work,
                           env=env, stdin=subprocess.DEVNULL, capture_output=True)
     masks = {**masks, str(out): "<out>", str(work): "<work>",
@@ -120,6 +126,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         runs = [(label, argv, {})
                 for label, argv in preset_runs(change / "src" / "failprop" / "presets")]
+        runs += [(f"gen {' '.join(params)}", ("gen", *params), {}) for params in GEN_RUNS]
         for seed in args.seeds:
             for name in WORKLOADS:
                 inputs = tmp / f"inputs-{name}-{seed}"
