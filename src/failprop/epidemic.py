@@ -33,6 +33,11 @@ list it reads; `step` wraps it around a copy. Replica 0 goes through
 `step`, which copies the states every tick for the event log; the other
 replicas copy nothing per tick. Both carry the next (S, I, R, D) counts,
 tallied from the moves made, so no caller recounts states.
+
+With n_jobs > 1, `monte_carlo` and `threshold_sweep` hand their replicas
+or grid points to `map_tasks`, which forks its worker processes itself,
+with no process pool: each inherits the batch by the fork and pipes back
+only its results, so every output is the same for any n_jobs.
 """
 
 from __future__ import annotations
@@ -417,13 +422,14 @@ def monte_carlo(
 
     Replica i always uses the seed derived from (base_seed, i). Replica 0
     runs through `run` in the caller and is the only one with an event
-    log; the rest run through `map_tasks` as `_replica`, which keeps only
+    log; the rest run through `map_tasks` as `_replica` (in forked workers
+    when n_jobs > 1, while the caller runs replica 0), which keeps only
     counts rows and the set of nodes it infected: O(ticks) rows plus at
     most one id per node, never O(events). Replicas are folded into
     integer running sums, mins and maxs, which is exact in any order, so
     the result is identical for every n_jobs and the fold holds
     O(ticks + n_runs) numbers. Every argument is checked before any
-    worker starts.
+    worker is forked, and a worker that dies fails the batch.
     """
     sv = _check_run(net, seeds, max_ticks, stop, n_runs)
 
@@ -476,33 +482,126 @@ def _replica(job, i):
 def map_tasks(fn, job, tasks, n_jobs: int):
     """Yield the results of fn(job, task) for each task, in task order.
 
-    With n_jobs > 1 they run in one pool of min(n_jobs, len(tasks),
-    os.cpu_count()) worker processes (~20-40 ms to start), each sent `job`
-    once by its initializer, while the caller works in the `with` block;
-    leaving it stops the pool.
-    Otherwise they run in the caller as it iterates.
+    With n_jobs > 1, min(n_jobs, len(tasks), os.cpu_count()) forked children
+    run them while the caller works in the `with` block. They inherit `job`
+    by the fork and take task indices from one shared pipe, so a child that
+    is free takes the next task, whatever the others cost. Each pickles
+    every result down its own pipe, or the exception fn raised, which the
+    caller re-raises; a thread per child in the caller reads that pipe as
+    the results come, so no child waits for the caller. A child that ends
+    without a result fails the run, and leaving the block kills and reaps
+    every child. Otherwise, or where os.fork does not exist, the tasks run
+    in the caller as it iterates. A fork copies only the calling thread, so
+    a caller that runs other threads should pass n_jobs=1.
     """
     if n_jobs < 1:
         raise EpidemicError(f"n_jobs must be >= 1, got {n_jobs}")
-    if n_jobs == 1 or not tasks:
+    if n_jobs == 1 or not tasks or not hasattr(os, "fork"):
         yield map(partial(fn, job), tasks)
-    else:
-        import multiprocessing  # not at module level: it costs ~20 ms of import
-        size = min(n_jobs, len(tasks), os.cpu_count() or 1)
-        with multiprocessing.Pool(size, _init_worker, (fn, job)) as pool:
-            yield pool.imap(_worker_task, tasks)
+        return
+    # here, so that serial runs never load pickle, and before the forks, so
+    # that no child loads it again (two children loading it cost ≈12 ms of wall)
+    import pickle
+    from signal import SIGKILL
+    from threading import Condition, Thread
+    size = min(n_jobs, len(tasks), os.cpu_count() or 1)
+    children = {}  # pid -> read end of its pipe, for every child not yet reaped
+    readers = []
+    got, dead, cond = {}, [], Condition()  # task index -> (ok, result); (k, pid, error)
+    r, w = os.pipe()
+    queue, feed = os.fdopen(r, "rb", 0), os.fdopen(w, "wb", 0)  # task indices
+    order = b"".join(j.to_bytes(4, "little") for j in range(len(tasks)))
+    try:
+        with queue, feed:
+            # a pipe takes a write of at most 512 bytes whole; the first goes in
+            # before the forks, so that each child starts as soon as it exists
+            feed.write(order[:512])
+            for k in range(size):
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, job, tasks, queue.fileno(), feed.fileno(), w)
+                os.close(w)  # so the pipe reads EOF once the child is gone
+                children[pid] = os.fdopen(r, "rb")
+            queue.close()  # so that feeding fails instead of waiting once no child is left
+            for k, (pid, pipe) in enumerate(children.items()):
+                readers.append(Thread(target=_collect, args=(k, pid, pipe, got, dead, cond)))
+                readers[-1].start()
+            try:
+                for i in range(512, len(order), 512):
+                    feed.write(order[i:i + 512])
+            except BrokenPipeError:  # every child has died, which the results report
+                pass
+        yield _in_task_order(children, got, dead, cond, len(tasks))
+    finally:
+        for pid in children:
+            os.kill(pid, SIGKILL)
+        for reader in readers:
+            reader.join()
+        for pid, pipe in children.items():
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
-_worker_fn = None  # fn(job, .) in a pool worker, set by the pool initializer
+def _child(fn, job, tasks, queue, feed, w):
+    """The body of a forked child: until `queue` ends it takes a task index
+    j from it and pickles (j, True, result), or (j, False, exc) if fn
+    raised, down its pipe, then None as its end mark. It never returns, and
+    leaves through os._exit so that none of the caller's cleanup or buffers
+    run twice."""
+    import pickle  # loaded already, by map_tasks
+    try:
+        os.close(feed)  # so that `queue` ends once the caller closes its own end
+        with os.fdopen(w, "wb") as out:
+            while taken := os.read(queue, 4):
+                j = int.from_bytes(taken, "little")
+                try:
+                    sent = (j, True, fn(job, tasks[j]))
+                except Exception as exc:  # the caller re-raises it when it reads it
+                    sent = (j, False, exc)
+                pickle.dump(sent, out)
+                out.flush()
+            pickle.dump(None, out)
+        os._exit(0)
+    finally:
+        os._exit(1)  # a result that does not pickle, or a KeyboardInterrupt
 
 
-def _init_worker(fn, job):
-    global _worker_fn
-    _worker_fn = partial(fn, job)
+def _collect(k, pid, pipe, got, dead, cond):
+    """The caller's reader of child k's pipe: it puts each result in `got`
+    by task index until the child's end mark. If the pipe ends first, or a
+    result does not load, it puts (k, pid, the error) in `dead`, so that the
+    caller raises instead of waiting."""
+    import pickle  # loaded already, by map_tasks
+    try:
+        while (sent := pickle.load(pipe)) is not None:
+            with cond:
+                got[sent[0]] = sent[1:]
+                cond.notify()
+    except Exception as exc:  # EOFError when the child died
+        with cond:
+            dead.append((k, pid, exc))
+            cond.notify()
 
 
-def _worker_task(task):
-    return _worker_fn(task)
+def _in_task_order(children, got, dead, cond, n):
+    """Task j's result, for j in 0..n-1, as soon as a reader has it."""
+    from signal import SIGKILL
+    for j in range(n):
+        with cond:
+            cond.wait_for(lambda: j in got or dead)
+            sent = got.pop(j, None)
+        if sent is None:
+            k, pid, error = dead[0]
+            os.kill(pid, SIGKILL)  # in case it still runs
+            children.pop(pid).close()
+            status = os.waitpid(pid, 0)[1]
+            raise RuntimeError(f"worker {k} (pid {pid}) ended without a result "
+                               f"(wait status {status})") from error
+        ok, result = sent
+        if not ok:
+            raise result
+        yield result
 
 
 def _fold(sums: list[int], mins: list[int], maxs: list[int], row) -> None:

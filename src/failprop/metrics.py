@@ -112,8 +112,11 @@ def threshold_sweep(
     Grid point i reruns monte_carlo with the stream derived from
     (base_seed, i), so the whole sweep is reproducible from one seed and
     independent of execution order. The caller runs point 0 and the others
-    run through `map_tasks`, so the result is the same for every n_jobs.
-    Every argument is checked before any worker starts.
+    run through `map_tasks`, in forked workers when n_jobs > 1, each point's
+    replicas serially, so the result is the same for every n_jobs. A free
+    worker takes the next point, so the costlier high-beta points do not
+    queue behind one worker. Every argument is checked before any worker
+    is forked.
     """
     grid = tuple(float(b) for b in grid)
     if not grid:

@@ -416,8 +416,8 @@ def test_monte_carlo_independent_of_parallelism():
     net = ring(12)
     p = EpidemicParams("SID", beta=0.5, delta1=0.2, tau=0.3, gamma=0.2)
     serial = monte_carlo(net, {0, 6}, p, 60, "absorb", n_runs=16, base_seed=9, n_jobs=1)
-    threaded = monte_carlo(net, {0, 6}, p, 60, "absorb", n_runs=16, base_seed=9, n_jobs=4)
-    assert serial.as_dict() == threaded.as_dict()
+    forked = monte_carlo(net, {0, 6}, p, 60, "absorb", n_runs=16, base_seed=9, n_jobs=4)
+    assert serial.as_dict() == forked.as_dict()
 
 
 def test_monte_carlo_rejects_zero_runs():

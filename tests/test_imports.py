@@ -103,6 +103,18 @@ def test_a_cascade_input_error_exits_2_without_the_epidemic_engine(tmp_path):
     assert _main(tmp_path, "cascade", "--config", "no-controller.cfg") == (2, CASCADE)
 
 
+def test_parallel_runs_do_not_load_multiprocessing():
+    # importing multiprocessing costs ~14 ms; map_tasks forks its workers itself
+    result, _ = _loaded_after(
+        "import os, sys\n"
+        "from failprop import EpidemicParams, monte_carlo, ring, threshold_sweep\n"
+        "p = EpidemicParams('SIS', beta=0.4, delta1=0.3)\n"
+        "monte_carlo(ring(10), {0}, p, 20, n_runs=4, n_jobs=2)\n"
+        "threshold_sweep(ring(10), {0}, p, [0.1, 0.2, 0.3], n_runs=2, max_ticks=20, n_jobs=2)\n"
+        "result = 'multiprocessing' in sys.modules")
+    assert result is False
+
+
 def test_import_failprop_loads_no_submodule():
     assert _loaded_after("import failprop\nresult = None") == (None, {"failprop"})
     # a defining module read as an attribute loads that module alone

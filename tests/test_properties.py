@@ -39,10 +39,14 @@ the seed ids or the scenario the run resolved must give the same text.
 """
 
 import json
-import multiprocessing.pool
 import os
 import random
+import re
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from collections import Counter, deque
 from pathlib import Path
 
@@ -451,7 +455,7 @@ def test_step_carries_the_counts_of_its_states(data, net, ps, seed):
 
 # --- Monte Carlo in worker processes -------------------------------------------
 
-# every example with n_runs > 1 starts a pool, about 20-40 ms, so examples are few
+# every example with n_runs > 1 forks workers, a few ms, so examples are few
 @pytest.mark.parametrize("stop", ("absorb", "fixed_ticks"))
 @pytest.mark.parametrize("model", MODELS)
 @settings(deadline=None, max_examples=5)
@@ -509,7 +513,7 @@ def test_n_jobs_below_one_is_an_error(n_jobs):
         threshold_sweep(ring(6), {0}, p, [0.1, 0.2], n_runs=2, max_ticks=10, n_jobs=n_jobs)
 
 
-# every pooled example starts a pool, about 20-40 ms, so examples are few
+# every pooled example forks workers, a few ms, so examples are few
 @pytest.mark.parametrize("n_runs, points", [(1, 3), (3, 1), (3, 4)])
 @settings(deadline=None, max_examples=3)
 @given(data=st.data(), base_seed=st.integers(0, 2**32))
@@ -532,58 +536,60 @@ def _fail_on_task_2(job, task):
     return task
 
 
-def test_one_pool_per_command_and_no_worker_left(monkeypatch):
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker process forked while the test runs. A ninth
+    fork fails before it starts a process, so a broken cap on the worker
+    count cannot start thousands of them."""
     started = []
+    real_fork = os.fork
 
-    class CountingPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            started.append(args[0])
-            super().__init__(*args, **kwargs)
+    def spy():
+        assert len(started) < 8, "more than 8 workers forked"
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    def pools(call, *args, **kwargs):
-        started.clear()
+    monkeypatch.setattr(os, "fork", spy)
+    return started
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_pool_per_command_and_no_worker_left(forks, monkeypatch):
+    def workers(call, *args, **kwargs):
+        forks.clear()
         try:
             call(*args, **kwargs)
         finally:
-            assert multiprocessing.active_children() == []
-        return started[:]
+            assert_no_child_left()
+        return len(forks)
 
-    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool sizes below, on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the worker counts below, on any host
     p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
     sweep = (ring(10), {0}, p)
-    assert pools(threshold_sweep, *sweep, [0.1, 0.2, 0.3], n_runs=3, max_ticks=20,
-                 n_jobs=2) == [2]
-    assert pools(threshold_sweep, *sweep, [0.1, 0.2, 0.3], n_runs=3, max_ticks=20,
-                 n_jobs=5) == [2]
-    assert pools(threshold_sweep, *sweep, [0.2], n_runs=3, max_ticks=20, n_jobs=2) == []
-    assert pools(monte_carlo, *sweep, 20, n_runs=1, n_jobs=2) == []
-    assert pools(monte_carlo, *sweep, 20, n_runs=4, n_jobs=2) == [2]
-    # the caller raises inside the pool's block, then a worker raises
+    assert workers(threshold_sweep, *sweep, [0.1, 0.2, 0.3], n_runs=3, max_ticks=20,
+                   n_jobs=2) == 2
+    assert workers(threshold_sweep, *sweep, [0.1, 0.2, 0.3], n_runs=3, max_ticks=20,
+                   n_jobs=5) == 2
+    assert workers(threshold_sweep, *sweep, [0.2], n_runs=3, max_ticks=20, n_jobs=2) == 0
+    assert workers(monte_carlo, *sweep, 20, n_runs=1, n_jobs=2) == 0
+    assert workers(monte_carlo, *sweep, 20, n_runs=4, n_jobs=2) == 2
+    # the caller raises before any worker starts, then a worker raises
     with pytest.raises(EpidemicError, match="stop must be"):
-        pools(monte_carlo, *sweep, 20, "never", n_runs=4, n_jobs=2)
+        workers(monte_carlo, *sweep, 20, "never", n_runs=4, n_jobs=2)
 
     def drain():
         with map_tasks(_fail_on_task_2, "job", range(5), 2) as results:
             return list(results)
 
     with pytest.raises(EpidemicError, match="job: task 2 failed"):
-        pools(drain)
-    assert started == [2]
-
-
-@pytest.fixture
-def pool_starts(monkeypatch):
-    """The size of every worker pool started while the test runs."""
-    started = []
-
-    class SpyPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            started.append(args[0])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SpyPool)
-    return started
+        workers(drain)
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("call, bad", [
@@ -598,7 +604,7 @@ def pool_starts(monkeypatch):
     (threshold_sweep, {"seeds": {-1, 0}}),
     (threshold_sweep, {"grid": [0.1, 1.5]}),
 ])
-def test_bad_arguments_raise_before_any_pool_starts(pool_starts, call, bad):
+def test_bad_arguments_raise_before_any_pool_starts(forks, call, bad):
     args = {"net": ring(10), "seeds": {0}, "max_ticks": 20, "stop": "absorb", "n_runs": 3}
     if call is monte_carlo:
         args["p"] = EpidemicParams("SIS", beta=0.4, delta1=0.3)
@@ -610,23 +616,161 @@ def test_bad_arguments_raise_before_any_pool_starts(pool_starts, call, bad):
         with pytest.raises(ValueError) as exc:
             call(**args, n_jobs=n_jobs)
         messages.append(str(exc.value))
-    assert pool_starts == []
+    assert forks == []
     assert messages[0] == messages[1]
 
 
-def test_caller_failure_inside_the_pool_block_leaves_no_worker(pool_starts, monkeypatch):
-    # arguments are checked before the pool starts, so make replica 0 fail
+def test_caller_failure_inside_the_pool_block_leaves_no_worker(forks, monkeypatch):
+    # arguments are checked before any worker starts, so make replica 0 fail
     # in the caller while the workers run replicas 1..3
     def failing_run(*args):
         raise EpidemicError("replica 0 failed")
 
     monkeypatch.setattr(failprop.epidemic, "run", failing_run)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2, on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers, on any host
     p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
     with pytest.raises(EpidemicError, match="replica 0 failed"):
         monte_carlo(ring(10), {0}, p, 20, n_runs=4, n_jobs=2)
-    assert pool_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def _sleep(seconds, task):
+    time.sleep(seconds)
+
+
+def test_leaving_the_block_kills_the_running_workers(forks):
+    start = time.monotonic()
+    with pytest.raises(EpidemicError, match="caller failed"):
+        with map_tasks(_sleep, 30, range(2), 2):
+            raise EpidemicError("caller failed")
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def _slow_first(job, task):
+    if task == 0:
+        time.sleep(job)
+    return os.getpid()
+
+
+def test_a_free_worker_takes_the_next_task(forks, monkeypatch):
+    # the worker on task 0 sleeps; the other takes every later task meanwhile,
+    # where a fixed split would leave half of them behind task 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers, on any host
+    with map_tasks(_slow_first, 1.5, range(6), 2) as results:
+        first, *rest = results
+    assert set(rest) == {rest[0]} and rest[0] != first
+    assert sorted({first, *rest}) == sorted(forks)
+    assert_no_child_left()
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("map_tasks did not finish in 60 s")
+
+
+_ran = 0  # tasks run so far, in each forked worker's own copy
+
+
+def _counted(job, task):
+    global _ran
+    _ran += 1
+    return task, os.getpid(), _ran, bytes(job)
+
+
+def test_many_workers_take_every_task_once(forks, monkeypatch):
+    # more workers than cores, more task numbers than a pipe holds and results
+    # that fill the workers' pipes long before the last number is fed, so the
+    # caller waits to feed them while its readers take results; a lost task
+    # hangs the run, a task run twice shows in the workers' counts, and a
+    # result filed under the wrong task shows in the order
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    n = 20_000
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    signal.alarm(60)
+    try:
+        ran = {}  # pid -> tasks it had run by its latest result
+        with map_tasks(_counted, 1000, range(n), 8) as results:
+            for t, (task, pid, count, _) in enumerate(results):
+                assert task == t
+                ran[pid] = max(ran.get(pid, 0), count)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        sys.setswitchinterval(interval)
+    assert sum(ran.values()) == n
+    assert len(forks) == 8
+    assert_no_child_left()
+
+
+def _big_result(job, task):
+    return time.monotonic(), bytes(job)
+
+
+def test_workers_finish_while_the_caller_is_busy(forks, monkeypatch):
+    # results larger than a pipe holds are read as they come, so no worker
+    # waits for the caller to reach them
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with map_tasks(_big_result, 1 << 18, range(6), 2) as results:
+        time.sleep(1.5)
+        busy_until = time.monotonic()
+        done = [t for t, _ in results]
+    assert max(done) < busy_until
+    assert_no_child_left()
+
+
+DEAD_WORKER = """
+import os, sys
+import failprop.epidemic
+from failprop.cli import main
+
+def exits(job, task):
+    os._exit(1)
+
+def is_killed(job, task):
+    os.kill(os.getpid(), 9)
+
+# 20,000 task numbers outgrow the pipe, so the workers die while it is fed
+for fn, n in ((exits, 5), (is_killed, 5), (exits, 20_000)):
+    try:
+        with failprop.epidemic.map_tasks(fn, None, range(n), 2) as results:
+            list(results)
+    except RuntimeError as exc:
+        print(exc)
+failprop.epidemic._replica = exits
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+
+
+def test_a_dead_worker_fails_the_run_instead_of_hanging_it(tmp_path):
+    (tmp_path / "exp.cfg").write_text(
+        "[topology]\ngenerate=ring:8\n[model]\nmodel=SIS\nbeta=0.4\ndelta1=0.3\nseeds=0\n"
+        "[run]\nmax_ticks=10\nn_runs=4\nn_jobs=2\n")
+    src = str(Path(failprop.epidemic.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", DEAD_WORKER, "epidemic", "--config", "exp.cfg",
+                           "--out", "out"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=20)
+    worker = r"worker [01] \(pid \d+\) ended without a result \(wait status {}\)"
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert re.fullmatch(worker.format(256), lines[0])  # exit status 1
+    assert re.fullmatch(worker.format(9), lines[1])  # SIGKILL
+    assert re.fullmatch(worker.format(256), lines[2])
+    assert lines[3] == "no child left"
+    assert proc.returncode == 4
+    [line] = proc.stderr.splitlines()
+    assert re.fullmatch("failprop: unexpected error: RuntimeError\\('{}'\\)".format(
+        worker.format(256)), line)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cpus, n_jobs, n_runs, size", [
@@ -635,31 +779,25 @@ def test_caller_failure_inside_the_pool_block_leaves_no_worker(pool_starts, monk
     (8, 16, 6, 5),
     (None, 4, 4, 1),
 ])
-def test_worker_count_is_capped_by_the_cpu_count(monkeypatch, cpus, n_jobs, n_runs, size):
-    # a stand-in pool: no process starts, whatever n_jobs asks for
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+def test_worker_count_is_capped_by_the_cpu_count(forks, monkeypatch, cpus, n_jobs, n_runs,
+                                                 size):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(failprop.epidemic, "_worker_fn", None)
     p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
     pooled = monte_carlo(ring(10), {0}, p, 5, n_runs=n_runs, n_jobs=n_jobs)
-    assert sizes == [size]
+    assert len(forks) == size
     assert pooled == monte_carlo(ring(10), {0}, p, 5, n_runs=n_runs, n_jobs=1)
+    assert_no_child_left()
+
+
+def test_without_fork_the_tasks_run_in_the_caller(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
+    pooled = monte_carlo(ring(10), {0}, p, 20, n_runs=4, n_jobs=2)
+    assert pooled == monte_carlo(ring(10), {0}, p, 20, n_runs=4, n_jobs=1)
+    with pytest.raises(EpidemicError, match="job: task 2 failed"):
+        with map_tasks(_fail_on_task_2, "job", range(5), 2) as results:
+            assert next(results) == 0  # each task runs as the caller reaches it
+            list(results)
 
 
 # --- cascade oracles: full recomputation every round ---------------------------
@@ -1283,19 +1421,20 @@ def test_vertical_path_never_builds_the_adjacency():
 def test_pooled_runs_build_the_adjacency_before_the_pool_starts(monkeypatch):
     # built in the caller, forked workers share it instead of each building it
     seen = []
+    real_fork = os.fork
 
-    class CheckingPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            seen.append("adj" in vars(net))
-            super().__init__(*args, **kwargs)
+    def checking_fork():
+        seen.append("adj" in vars(net))
+        return real_fork()
 
-    monkeypatch.setattr(multiprocessing, "Pool", CheckingPool)
+    monkeypatch.setattr(os, "fork", checking_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the fork counts below, on any host
     p = EpidemicParams("SIS", beta=0.4, delta1=0.3)
     net = ring(10)
     monte_carlo(net, {0}, p, 20, n_runs=4, n_jobs=2)
     net = ring(10)
     threshold_sweep(net, {0}, p, [0.1, 0.2], n_runs=2, max_ticks=20, n_jobs=2)
-    assert seen == [True, True]
+    assert seen == [True, True, True]
 
 
 # --- edge-list parser against the line-by-line oracle ----------------------------

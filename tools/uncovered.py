@@ -11,7 +11,7 @@ bytecode; one runs when a line event lands on any of those lines.
 
 The report is printed whatever the tests' outcome: tracing slows every
 traced frame, so a test with a time bound (AC01) can fail under it.
-Forked pool workers (`n_jobs > 1`) and tests that start a fresh interpreter
+Forked workers (`n_jobs > 1`) and tests that start a fresh interpreter
 are not traced, so what only they run is reported as not executed.
 Only the standard library is used, besides pytest itself to run the suite.
 """
