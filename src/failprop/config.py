@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .topology import (
-    InputError, Network, TopologyError, _fmt, generate_topology, load_edge_list,
+    InputError, Network, TopologyError, _fmt, _plain, generate_topology, load_edge_list,
     split_sections,
 )
 
@@ -72,15 +72,6 @@ def _kv(entries, section: str, allowed: tuple[str, ...] | None) -> dict[str, str
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}]")
         out[key] = value
     return out
-
-
-def _plain(value: str) -> str:
-    """`value` if it is plain ASCII with no `_`; a ValueError otherwise. A
-    number must pass this before `int()` or `float()` reads it, so `5_0` and
-    non-ASCII digits, which both would accept, are errors."""
-    if "_" in value or not value.isascii():
-        raise ValueError(value)
-    return value
 
 
 def _as_int(value: str, name: str) -> int:
@@ -332,48 +323,29 @@ def resolve_node(net: Network, token: str, name: str) -> int:
     return v
 
 
-def resolve_seeds(cfg: ExperimentConfig, net: Network) -> tuple[int, ...]:
-    """The seed nodes in token order; two tokens that name one node are an error."""
+def _distinct_nodes(net: Network, tokens, name: str):
+    """The node of each token, in token order; two tokens that name one
+    node (an alias and its id, say) are an error."""
     token_of: dict[int, str] = {}
-    for t in cfg.seed_tokens:
-        node = resolve_node(net, t, "seeds")
+    for t in tokens:
+        node = resolve_node(net, t, name)
         if node in token_of:
-            raise ConfigError(f"seeds: {token_of[node]!r} and {t!r} name the same node {node}")
+            raise ConfigError(f"{name}: {token_of[node]!r} and {t!r} name the same node {node}")
         token_of[node] = t
-    return tuple(token_of)
+        yield node
+
+
+def resolve_seeds(cfg: ExperimentConfig, net: Network) -> tuple[int, ...]:
+    """The seed nodes in token order; see `_distinct_nodes`."""
+    return tuple(_distinct_nodes(net, cfg.seed_tokens, "seeds"))
 
 
 def _node_values(net: Network, lines, name: str) -> dict[int, float]:
-    """Per-node numbers of a [capacity] or [rate] section; two tokens that
-    name the same node (an alias and its id, say) are an error.
-
-    Without aliases every token goes through one `int` and one `float` map,
-    with the value grammar (`_plain`, on all values joined), range,
-    finiteness and repeats checked in bulk; the line-by-line loop runs only
-    when one of those fails, or when a value reads as 0 (it may have
-    underflowed), to raise for the first bad line."""
-    if net.aliases is None and lines:
-        keys, values = zip(*lines)
-        try:
-            _plain("".join(values))
-            out = dict(zip(map(int, keys), map(float, values)))
-        except ValueError:
-            pass
-        else:
-            if (len(out) == len(lines) and min(out) >= 0 and max(out) < net.node_count
-                    and all(map(math.isfinite, out.values())) and 0 not in out.values()):
-                return out
-    out: dict[int, float] = {}
-    token_of: dict[int, str] = {}
-    for k, v in lines:
-        node = resolve_node(net, k, name)
-        if node in out:
-            raise ConfigError(
-                f"{name}: {token_of[node]!r} and {k!r} name the same node {node}"
-            )
-        token_of[node] = k
-        out[node] = _as_float(v, f"{name} {k}")
-    return out
+    """Per-node numbers of a [capacity] or [rate] section, in file order.
+    `zip` takes line i's node from `_distinct_nodes` before line i's value
+    is read, so of several bad lines the first raises."""
+    nodes = _distinct_nodes(net, [k for k, _ in lines], name)
+    return {node: _as_float(v, f"{name} {k}") for node, (k, v) in zip(nodes, lines)}
 
 
 def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScenario:

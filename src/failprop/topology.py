@@ -52,6 +52,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _plain(value: str) -> str:
+    """`value` if it is plain ASCII with no `_`; a ValueError otherwise. A
+    number must pass this before `int()` or `float()` reads it, so `5_0` and
+    non-ASCII digits, which both would accept, are errors."""
+    if "_" in value or not value.isascii():
+        raise ValueError(value)
+    return value
+
+
 @dataclass(frozen=True)
 class Network:
     """Immutable two-plane graph. Safe to share across concurrent runs.
@@ -263,7 +272,7 @@ def _scan(text: str):
             msg = "repeated count= in [nodes]"
         else:
             try:
-                declared_count = int(value.strip())
+                declared_count = int(_plain(value.strip()))
             except ValueError:
                 msg = f"bad node count {value.strip()!r}"
             else:

@@ -480,7 +480,9 @@ def test_read_topology_names_an_unreadable_file(tmp_path):
     assert read_topology(str(path)).edge_count() == 1
 
 
-@pytest.mark.parametrize("lines, msg", [
+# each holds for an integer-id ring(6) and for a names-mode ring of p..u
+# (nodes 0-5), to which `a` is unknown too
+_FIRST_BAD_LINE = [
     (("2=5", "1=x"), "capacity 1 must be a number, got 'x'"),
     (("2=5", "6=1"), "capacity: node id 6 out of range"),
     (("2=5", "-1=1"), "capacity: node id -1 out of range"),
@@ -494,11 +496,23 @@ def test_read_topology_names_an_unreadable_file(tmp_path):
     (("2=5", "1=1_0"), "capacity 1 must be a number, got '1_0'"),
     (("2=\u0665", "1=x"), "capacity 2 must be a number, got '\u0665'"),
     (("2=5", "1=\uff11"), "capacity 1 must be a number, got '\uff11'"),
+]
+
+
+@pytest.mark.parametrize("topology, lines, msg", [
+    *(("generate=ring:6", *case) for case in _FIRST_BAD_LINE),
+    *(("file=named.edges", *case) for case in _FIRST_BAD_LINE),
+    ("file=named.edges", ("p=x", "zz=1"), "capacity p must be a number, got 'x'"),
+    ("file=named.edges", ("zz=1", "p=x"), "capacity: unknown node 'zz'"),
+    ("file=named.edges", ("q=5", "1=1"), "capacity: 'q' and '1' name the same node 1"),
+    ("file=named.edges", ("u=nan", "q=1"), "capacity u must be finite, got 'nan'"),
+    ("file=named.edges", ("p=1", "u=1_0"), "capacity u must be a number, got '1_0'"),
 ])
-def test_integer_node_values_report_the_first_bad_line(lines, msg):
-    text = ("[topology]\ngenerate=ring:6\n\n[scenario]\nkind=horizontal\n\n[capacity]\n"
+def test_integer_node_values_report_the_first_bad_line(tmp_path, topology, lines, msg):
+    (tmp_path / "named.edges").write_text("p q\nq r\nr s\ns t\nt u\nu p\n")
+    text = (f"[topology]\n{topology}\n\n[scenario]\nkind=horizontal\n\n[capacity]\n"
             + "\n".join(lines) + "\n")
-    cfg = parse_config(text)
+    cfg = parse_config(text, tmp_path)
     with pytest.raises(ConfigError) as err:
         build_horizontal_scenario(cfg, build_network(cfg))
     assert str(err.value) == msg

@@ -1535,10 +1535,13 @@ def reference_load_edge_list(source):
             key, sep, value = line.partition("=")
             if sep != "=" or key.strip() != "count":
                 raise _ref_err(lineno, f"expected 'count=N' in [nodes], got {line!r}")
+            count = value.strip()
             try:
-                declared_count = int(value.strip())
+                if "_" in count or not count.isascii():  # int() would read these
+                    raise ValueError(count)
+                declared_count = int(count)
             except ValueError:
-                raise _ref_err(lineno, f"bad node count {value.strip()!r}") from None
+                raise _ref_err(lineno, f"bad node count {count!r}") from None
             if declared_count < 1:
                 raise _ref_err(lineno, "node count must be >= 1")
         elif section == "roles":
@@ -1783,7 +1786,8 @@ def edge_documents(draw):
             rest = draw(st.sampled_from(("", tok(0), f"{tok(0)},")))
             pref_lines.insert(draw(st.integers(0, len(pref_lines))), f"{pad()}:{pad()}{rest}")
     if "bad count" in planted:
-        count_lines = [draw(st.sampled_from(("count=x", "count=0", "count=-1", "size=3", "count")))]
+        count_lines = [draw(st.sampled_from(("count=x", "count=0", "count=-1", "count=1_0",
+                                             "count=\u0663", "size=3", "count")))]
 
     def header(name):
         return draw(st.sampled_from((f"[{name}]", f"[ {name} ]", f"[{name.upper()}]")))

@@ -387,6 +387,14 @@ def test_load_edge_list_reports_the_first_bad_line():
         load_edge_list("0 1\n[nodes]\ncount=x\n[roles]\n0 controller\n[nodes]\nsize=3\n")
 
 
+@pytest.mark.parametrize("count", ["1_0", "\u0663", "\uff13"])
+def test_a_node_count_is_plain_ascii(count):
+    # int() reads `1_0` as 10 and Arabic-Indic or fullwidth digits as 3
+    with pytest.raises(TopologyError) as err:
+        load_edge_list(f"0 1\n[nodes]\ncount={count}\n")
+    assert str(err.value) == f"line 3: bad node count {count!r}"
+
+
 def test_load_edge_list_integer_spellings_go_through_int():
     net = load_edge_list("01 +2\n-0 2\n[nodes]\ncount=3\n")
     assert net.aliases is None

@@ -15,6 +15,11 @@ empty working and output directory. The runs are:
 - `gen` once per generator (ring, grid, er, ba) at fixed small parameters
   and seeds, with `--out` naming the output directory (a trailing `/`), so
   the `.edges` file is one of the compared output files;
+- the inputs this tool writes itself (`OWN_INPUTS`): a vertical and a
+  horizontal cascade on names-mode topologies, with every node named by
+  alias; integer-id configs that must fail (exit 2) on their first bad
+  `[capacity]`, `[rate]` or `seeds=` item; `validate` on each of its edge
+  lists, one of which has a `count=` that only `int()` reads;
 - the four benchmark workloads at each seed of --seeds (default: 1 23).
   Their inputs are written once per workload and seed by PARENT's
   perfbench/workloads.py (imported without writing bytecode), and both
@@ -43,14 +48,53 @@ WORKLOADS = ("epidemic-ba", "sweep-sir", "cascade-grid", "cascade-vertical")
 GEN_RUNS = (("ring", "12"), ("grid", "3", "4"), ("er", "30", "0.1", "--seed", "5"),
             ("ba", "30", "2", "--seed", "9"))
 
+# file name -> text; each .cfg runs with the command its sections call for
+# and each .edges with `validate`, as the presets do
+OWN_INPUTS = {
+    "named-vertical.edges": "s1 c1\ns2 c1\ns2 c2\ns3 c2\ns4 c2\n[roles]\n"
+                            "s1=edge_switch\ns2=edge_switch\ns3=core_switch\n"
+                            "s4=edge_switch\nc1=controller\nc2=controller\n"
+                            "[controllers]\ns1:c1,c2\ns2:c1,c2\ns3:c2,c1\ns4:c2\n",
+    "named-vertical.cfg": "[topology]\nfile=named-vertical.edges\n[scenario]\nkind=vertical\n"
+                          "[capacity]\nc1=30\nc2=25\n[rate]\ns1=8\ns2=8\ns3=8\ns4=8\n"
+                          "[attack]\ns1=20\n",
+    "named-mesh.edges": "a b\nb c\nc d\nd a\nb d\nd e\n",
+    "named-horizontal.cfg": "[topology]\nfile=named-mesh.edges\n[scenario]\nkind=horizontal\n"
+                            "misroute=true\n[capacity]\nb=1.5\nd=2\n[demand]\na,c,1\n"
+                            "c,e,1\nb,d,0.5\n[injection]\na,e,2\n",
+    "bad-capacity.cfg": "[topology]\ngenerate=ring:6\n[scenario]\nkind=horizontal\n"
+                        "[capacity]\n1=x\n9=1\n",
+    "bad-rate.cfg": "[topology]\ngenerate=ring:6\n[scenario]\nkind=vertical\n"
+                    "[rate]\n2=5\n02=1\n",
+    "bad-seeds.cfg": "[topology]\ngenerate=ring:6\n[model]\nmodel=SI\nbeta=0.5\n"
+                     "seeds=1,3,01\n",
+    "count-1_0.edges": "0 1\n1 2\n[nodes]\ncount=1_0\n",
+}
+
+
+def command_of(text: str) -> str:
+    """The CLI command a config's sections call for."""
+    return "cascade" if "[scenario]" in text else "sweep" if "[sweep]" in text else "epidemic"
+
+
+def own_runs(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
+    """(label, CLI arguments) of each run on OWN_INPUTS, written to `inputs`."""
+    inputs.mkdir()
+    runs = []
+    for name, text in OWN_INPUTS.items():
+        path = inputs / name
+        path.write_text(text)
+        argv = ((command_of(text), "--config", str(path)) if name.endswith(".cfg")
+                else ("validate", str(path)))
+        runs.append((f"own {argv[0]} {name}", argv))
+    return runs
+
 
 def preset_runs(presets: Path) -> list[tuple[str, tuple[str, ...]]]:
     """(label, CLI arguments) of each preset run."""
     runs = []
     for cfg in sorted(presets.glob("*.cfg")):
-        text = cfg.read_text()
-        command = ("cascade" if "[scenario]" in text
-                   else "sweep" if "[sweep]" in text else "epidemic")
+        command = command_of(cfg.read_text())
         for argv in ((command, "--config", cfg.stem), ("validate", "--config", cfg.stem)):
             runs.append((f"preset {' '.join(argv)}", argv))
     runs += [(f"preset validate {p.name}", ("validate", str(p)))
@@ -127,6 +171,8 @@ def main(argv=None) -> int:
         runs = [(label, argv, {})
                 for label, argv in preset_runs(change / "src" / "failprop" / "presets")]
         runs += [(f"gen {' '.join(params)}", ("gen", *params), {}) for params in GEN_RUNS]
+        own = tmp / "inputs-own"
+        runs += [(label, argv, {str(own): "<inputs>"}) for label, argv in own_runs(own)]
         for seed in args.seeds:
             for name in WORKLOADS:
                 inputs = tmp / f"inputs-{name}-{seed}"

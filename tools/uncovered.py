@@ -11,8 +11,12 @@ bytecode; one runs when a line event lands on any of those lines.
 
 The report is printed whatever the tests' outcome: tracing slows every
 traced frame, so a test with a time bound (AC01) can fail under it.
-Forked workers (`n_jobs > 1`) and tests that start a fresh interpreter
-are not traced, so what only they run is reported as not executed.
+A forked worker (`n_jobs > 1`) keeps the tracer of the thread that forked
+it, and writes each line it is the first to run to a file of its own in a
+temporary directory as it runs it (a `register_at_fork` hook opens the
+file); the report merges those files. Tests that start a fresh
+interpreter are not traced, so what only they run is reported as not
+executed.
 Only the standard library is used, besides pytest itself to run the suite.
 """
 
@@ -20,7 +24,9 @@ from __future__ import annotations
 
 import ast
 import os
+import shutil
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -86,20 +92,34 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(SRC.parent))
     traced = {str(p): set() for p in SRC.glob("*.py")}
+    spool = Path(tempfile.mkdtemp(prefix="uncovered-"))
+    spill = []  # in a forked worker: the file that takes each line it runs first
+
+    def ran(path, lines, lineno):
+        """Record a line not seen before."""
+        lines.add(lineno)
+        if spill:
+            spill[0].write(f"{path}\t{lineno}\n")
 
     def trace(frame, event, arg):
-        lines = traced.get(frame.f_code.co_filename)
+        path = frame.f_code.co_filename
+        lines = traced.get(path)
         if lines is None:
             return None
 
         def local(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
+            if event == "line" and frame.f_lineno not in lines:
+                ran(path, lines, frame.f_lineno)
             return local
 
-        lines.add(frame.f_lineno)
+        if frame.f_lineno not in lines:
+            ran(path, lines, frame.f_lineno)
         return local
 
+    # a worker's line is written as it runs: the caller may kill the worker
+    # as soon as it has its results, before any exit handler could write them
+    os.register_at_fork(after_in_child=lambda: spill.append(
+        open(spool / str(os.getpid()), "w", buffering=1)))
     threading.settrace(trace)
     sys.settrace(trace)
     try:
@@ -107,9 +127,15 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    forks = list(spool.iterdir())
+    for part in forks:
+        for row in part.read_text().splitlines():
+            path, lineno = row.split("\t")
+            traced[path].add(int(lineno))
+    shutil.rmtree(spool)
 
-    print(f"\ntests exited with status {int(status)}; statements never executed "
-          "(forked workers and fresh interpreters are not traced):")
+    print(f"\ntests exited with status {int(status)}; with the lines of {len(forks)} "
+          "forked worker(s), statements never executed (fresh interpreters are not traced):")
     total = 0
     for path in sorted(SRC.glob("*.py")):
         missed = uncovered(path, traced[str(path)])
