@@ -81,18 +81,25 @@ def _as_int(value: str, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _as_float(value: str, name: str) -> float:
+def _as_float(value: str, name: str, key: str | None = None) -> float:
     """A finite number; one whose digits before the exponent are not all 0
-    but that reads as 0.0 (`1e-400`) is an error, not a silent 0."""
+    but that reads as 0.0 (`1e-400`) is an error, not a silent 0. An error
+    names `name`, then `key` if one is given: a caller reading many lines
+    passes the line's key apart, so that only an error builds the name."""
     try:
         x = float(_plain(value))
     except ValueError:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if x == 0 and any(d in value.lower().partition("e")[0] for d in "123456789"):
-        raise ConfigError(f"{name} underflows to 0, got {value!r}")
-    return x
+        problem = "must be a number"
+    else:
+        if not math.isfinite(x):
+            problem = "must be finite"
+        elif x == 0 and any(d in value.lower().partition("e")[0] for d in "123456789"):
+            problem = "underflows to 0"
+        else:
+            return x
+    if key is not None:
+        name = f"{name} {key}"
+    raise ConfigError(f"{name} {problem}, got {value!r}")
 
 
 def as_seed(value: str, name: str) -> int:
@@ -345,7 +352,7 @@ def _node_values(net: Network, lines, name: str) -> dict[int, float]:
     `zip` takes line i's node from `_distinct_nodes` before line i's value
     is read, so of several bad lines the first raises."""
     nodes = _distinct_nodes(net, [k for k, _ in lines], name)
-    return {node: _as_float(v, f"{name} {k}") for node, (k, v) in zip(nodes, lines)}
+    return {node: _as_float(v, name, k) for node, (k, v) in zip(nodes, lines)}
 
 
 def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScenario:
@@ -356,7 +363,7 @@ def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScen
     attack = None
     if cfg.attack_line is not None:
         k, v = cfg.attack_line
-        attack = (resolve_node(net, k, "attack"), _as_float(v, f"attack {k}"))
+        attack = (resolve_node(net, k, "attack"), _as_float(v, "attack", k))
     return VerticalScenario(capacity, rate, attack)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,24 +94,30 @@ class Network:
                 raise TopologyError(f"self-loop at node {u}")
             if not (0 <= u < v < n):
                 raise TopologyError(f"edge {e} out of range or not normalized")
-        if self.controller_prefs:
-            switches = set(self.switches())
-            is_controller = set(self.controllers()).__contains__
-            for sw, prefs in self.controller_prefs.items():
-                if sw not in switches:
-                    if not (0 <= sw < n):
-                        raise TopologyError(f"controller_prefs: unknown switch id {sw}")
-                    raise TopologyError(
-                        f"controller_prefs: node {sw} has role {self.roles[sw]}, not a switch"
-                    )
-                if len(set(prefs)) != len(prefs):
-                    raise TopologyError(f"controller_prefs: duplicate controller for switch {sw}")
-                for c in filterfalse(is_controller, prefs):
-                    if not (0 <= c < n):
-                        raise TopologyError(f"controller_prefs: unknown controller id {c}")
-                    raise TopologyError(
-                        f"controller_prefs: node {c} has role {self.roles[c]}, not controller"
-                    )
+        prefs_of = self.controller_prefs
+        if not prefs_of:
+            return
+        switches, controllers = set(self.switches()), set(self.controllers())
+        lists = prefs_of.values()
+        if (switches.issuperset(prefs_of) and controllers.issuperset(chain.from_iterable(lists))
+                and all(map(eq, map(len, map(set, lists)), map(len, lists)))):
+            return
+        # a bulk check failed: name the first bad switch
+        for sw, prefs in prefs_of.items():
+            if sw not in switches:
+                if not (0 <= sw < n):
+                    raise TopologyError(f"controller_prefs: unknown switch id {sw}")
+                raise TopologyError(
+                    f"controller_prefs: node {sw} has role {self.roles[sw]}, not a switch"
+                )
+            if len(set(prefs)) != len(prefs):
+                raise TopologyError(f"controller_prefs: duplicate controller for switch {sw}")
+            for c in filterfalse(controllers.__contains__, prefs):
+                if not (0 <= c < n):
+                    raise TopologyError(f"controller_prefs: unknown controller id {c}")
+                raise TopologyError(
+                    f"controller_prefs: node {c} has role {self.roles[c]}, not controller"
+                )
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -182,6 +189,9 @@ class Network:
 
 _SECTIONS = ("nodes", "roles", "controllers")
 
+# a `#` comment runs to the next character that `str.splitlines` breaks at
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
+
 
 def _err(lineno: int, msg: str) -> TopologyError:
     return TopologyError(f"line {lineno}: {msg}")
@@ -205,8 +215,14 @@ def split_sections(text: str) -> list[tuple[str, int, list[int], list[str]]]:
     file order; the part before the first header is named "" with header
     line 0. Names are stripped and lower-cased and may repeat: checking
     them is the caller's job.
+
+    Comments are cut from the whole text in one regex pass before it is
+    split into lines, which reads each line as `raw.split("#", 1)[0]`
+    would. A comment becomes a space, not nothing: deleting the one in
+    `"\r#\n"` would leave one `\r\n` break where there were two, and
+    every later line number would shift.
     """
-    lines = list(map(str.strip, _field(text.splitlines(), "#", 0)))
+    lines = list(map(str.strip, _COMMENT.sub(" ", text).splitlines()))
     heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
     parts = []
     name, start = "", 0
@@ -235,16 +251,18 @@ def _scan(text: str):
     edge lines as numbers and both ends of every edge, line by line; role
     lines as numbers, ids and roles; controller lines as numbers, switches
     and one tuple of controller tokens per line; then the declared node
-    count. A malformed line raises its `line N:` error; of several, the
-    first in the file does, as in a line-by-line reading.
+    count and the table of distinct node tokens. A malformed line raises
+    its `line N:` error; of several, the first in the file does, as in a
+    line-by-line reading.
 
-    Every token, role names included, goes through one `_Shared` dict as
-    it is cut, so the scan returns one string object per distinct text:
-    the copies die with their line instead of living until `_resolve`
-    returns. A large file names few nodes many times (20,000 switches
-    with 8 controllers each are some 260k tokens for 20k nodes), and one
-    object per token was most of the memory a load held. The dict fills
-    in scan order, not in alias order, so `_resolve` does not reuse it.
+    Every node token goes through one `_Shared` dict as it is cut, and
+    every role name through another, so the scan returns one string
+    object per distinct text: the copies die with their line instead of
+    living until `_resolve` returns. A large file names few nodes many
+    times (20,000 switches with 8 controllers each are some 260k tokens
+    for 20k nodes), and one object per token was most of the memory a
+    load held. The node dict is returned as the token table: its keys
+    are exactly the distinct node tokens, in scan order, not alias order.
     """
     # section -> (line numbers, lines); a header may repeat
     body: dict[str, tuple[list[int], list[str]]] = {s: ([], []) for s in ("", *_SECTIONS)}
@@ -260,7 +278,8 @@ def _scan(text: str):
     edge_nos, kept = body[""]
     errors += _first(map(ne, map(len, map(str.split, kept)), repeat(2)), edge_nos, kept,
                      "expected 'u v', got {!r}")
-    share = _Shared().__getitem__
+    tokens = _Shared()
+    share = tokens.__getitem__
     ends = list(map(share, " ".join(kept).split()))
 
     declared_count: int | None = None
@@ -301,28 +320,32 @@ def _scan(text: str):
         # of two errors on one line, the one appended first (its node id) wins
         raise _err(*min(errors, key=itemgetter(0)))
 
-    role_names = list(map(share, map(str.strip, _field(role_lines, "=", 2))))
-    return edge_nos, ends, role_nos, role_ids, role_names, pref_nos, switches, prefs, declared_count
+    role_names = list(map(_Shared().__getitem__, map(str.strip, _field(role_lines, "=", 2))))
+    return (edge_nos, ends, role_nos, role_ids, role_names, pref_nos, switches, prefs,
+            declared_count, tokens)
 
 
 def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch_tokens,
-             pref_tokens, declared_count: int | None):
+             pref_tokens, declared_count: int | None, tokens: dict[str, str]):
     """Stage 2: turn the scanned tokens into node ids and check them.
 
-    Returns the arguments of `Network.from_edges`: (n, normalized edge
-    pairs, role map, preference map, alias table or None); no token
+    `tokens` is the scan's table of distinct node tokens. An integer-id
+    file maps it through `int` as it stands, since ids do not depend on
+    its order; only a names-mode file lists the tokens again, in alias
+    order. Returns the arguments of `Network.from_edges`: (n, normalized
+    edge pairs, role map, preference map, alias table or None); no token
     outlives this stage. A line-by-line loop runs only when a bulk check
     fails, to name the first bad line.
     """
-    # the distinct tokens in order of first appearance: edge ends line by
-    # line, role ids, then each switch followed by its controllers
-    distinct = dict.fromkeys(chain(
-        ends, role_tokens, chain.from_iterable(map(chain, zip(switch_tokens), pref_tokens))
-    ))
     aliases: dict[str, int] | None = None
     try:
-        resolve = dict(zip(distinct, map(int, distinct)))
+        resolve = dict(zip(tokens, map(int, tokens)))
     except ValueError:
+        # the distinct tokens in order of first appearance: edge ends line
+        # by line, role ids, then each switch followed by its controllers
+        distinct = dict.fromkeys(chain(
+            ends, role_tokens, chain.from_iterable(map(chain, zip(switch_tokens), pref_tokens))
+        ))
         aliases = resolve = dict(zip(distinct, range(len(distinct))))
     get = resolve.__getitem__
 

@@ -445,10 +445,14 @@ def test_load_edge_list_rejects_an_empty_node_id(text, line):
 ])
 def test_scan_returns_one_string_object_per_distinct_token(text):
     # each token text occurs as an edge end, a role id, a switch and a controller
-    _, ends, _, role_ids, role_names, _, switches, prefs, _ = _scan(text)
-    toks = [*ends, *role_ids, *role_names, *switches, *(c for cs in prefs for c in cs)]
+    _, ends, _, role_ids, role_names, _, switches, prefs, _, tokens = _scan(text)
+    nodes = [*ends, *role_ids, *switches, *(c for cs in prefs for c in cs)]
+    toks = [*nodes, *role_names]
     assert len(set(toks)) == 5
     assert len({id(t) for t in toks}) == len(set(toks))
+    # the token table holds the distinct node tokens and no role name
+    assert tokens.keys() == set(nodes)
+    assert not tokens.keys() & set(role_names)
 
 
 def test_split_sections_keeps_line_numbers_and_drops_blanks():

@@ -19,7 +19,10 @@ empty working and output directory. The runs are:
   horizontal cascade on names-mode topologies, with every node named by
   alias; integer-id configs that must fail (exit 2) on their first bad
   `[capacity]`, `[rate]` or `seeds=` item; `validate` on each of its edge
-  lists, one of which has a `count=` that only `int()` reads;
+  lists, one of which has a `count=` that only `int()` reads; and a
+  vertical cascade, `validate` on its edge list and `validate` on an edge
+  list with a bad last line, all with full-line and trailing `#` comments,
+  each written with `\n`, `\r\n`, lone `\r` and `\x85` line ends;
 - the four benchmark workloads at each seed of --seeds (default: 1 23).
   Their inputs are written once per workload and seed by PARENT's
   perfbench/workloads.py (imported without writing bytecode), and both
@@ -71,6 +74,24 @@ OWN_INPUTS = {
     "count-1_0.edges": "0 1\n1 2\n[nodes]\ncount=1_0\n",
 }
 
+# comments on every kind of line, so a comment cut that joins or splits
+# lines shows as a changed line number or a lost line
+COMMENTED_EDGES = ("# four switches, two controllers\n0 1\n1 2 # data plane\n2 3\n#\n"
+                   "0 4  # s0-c4\n1 4\n#\n1 5\n2 5\n3 5#x\n"
+                   "[roles]  # ids 4 and 5 control\n0=edge_switch\n1=edge_switch\n"
+                   "2=core_switch # core\n3=edge_switch\n  # indented comment\n"
+                   "4=controller\n5=controller\n[controllers]\n#\n0:4,5\n1:4,5 # primary 4\n"
+                   "2:5,4\n3:5\n")
+COMMENTED_CFG = ("# vertical cascade\n[topology]\nfile={edges}  # next to this file\n"
+                 "[scenario]\n#\nkind=vertical\n[capacity]\n4=30 # c4\n5=25\n[rate]\n"
+                 "0=8\n1=8#\n2=8\n# 3 is below\n3=8\n[attack]\n0=20  # flood s0\n")
+for _end, _suffix in (("\n", "lf"), ("\r\n", "crlf"), ("\r", "cr"), ("\x85", "nel")):
+    OWN_INPUTS[f"commented-{_suffix}.edges"] = COMMENTED_EDGES.replace("\n", _end)
+    OWN_INPUTS[f"commented-{_suffix}.cfg"] = COMMENTED_CFG.format(
+        edges=f"commented-{_suffix}.edges").replace("\n", _end)
+    OWN_INPUTS[f"commented-bad-{_suffix}.edges"] = (COMMENTED_EDGES + "# last\n3 4 5\n").replace(
+        "\n", _end)
+
 
 def command_of(text: str) -> str:
     """The CLI command a config's sections call for."""
@@ -83,7 +104,7 @@ def own_runs(inputs: Path) -> list[tuple[str, tuple[str, ...]]]:
     runs = []
     for name, text in OWN_INPUTS.items():
         path = inputs / name
-        path.write_text(text)
+        path.write_bytes(text.encode())  # line ends as written
         argv = ((command_of(text), "--config", str(path)) if name.endswith(".cfg")
                 else ("validate", str(path)))
         runs.append((f"own {argv[0]} {name}", argv))
