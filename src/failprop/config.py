@@ -16,7 +16,7 @@ enough to reproduce itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,13 +31,10 @@ if TYPE_CHECKING:  # the engines load where a config first needs them, not here
 
 PRESET_DIR = Path(__file__).parent / "presets"
 
-_SECTIONS = (
-    "topology", "model", "run", "sweep", "scenario", "output",
-    "capacity", "rate", "attack", "demand", "injection",
-)
 # scenario data section -> the scenario kinds it belongs to, in check order
 _SCENARIO_SECTIONS = {"rate": ("vertical",), "attack": ("vertical",), "demand": ("horizontal",),
                       "injection": ("horizontal",), "capacity": ("vertical", "horizontal")}
+_SECTIONS = ("topology", "model", "run", "sweep", "scenario", "output", *_SCENARIO_SECTIONS)
 
 
 class ConfigError(InputError):
@@ -140,7 +137,8 @@ def _triple(lineno: int, line: str, section: str, shape: str) -> tuple[str, str,
     return parts
 
 
-# [run] key -> its reader; each key sets the ExperimentConfig field of its name
+# [run] key -> its reader; each key sets the ExperimentConfig field of its
+# name, and `render_resolved` writes the keys in this order
 _RUN = {"max_ticks": _as_int, "n_runs": _as_int, "rng_seed": as_seed,
         "stop": lambda value, name: value, "epsilon": _as_float, "n_jobs": _as_int}
 
@@ -193,19 +191,13 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
     if "model" in sections:
         from .epidemic import EpidemicParams
 
-        kv = _kv(sections["model"], "model",
-                 ("model", "beta", "delta1", "tau", "gamma", "seeds"))
-        if "model" not in kv:
-            raise ConfigError("[model] needs model=")
-        if "beta" not in kv:
-            raise ConfigError("[model] needs beta=")
-        cfg.model = EpidemicParams(
-            model=kv["model"],
-            beta=_as_float(kv["beta"], "beta"),
-            delta1=_as_float(kv.get("delta1", "0"), "delta1"),
-            tau=_as_float(kv.get("tau", "0"), "tau"),
-            gamma=_as_float(kv.get("gamma", "0"), "gamma"),
-        )
+        _, *rates = (f.name for f in fields(EpidemicParams))
+        kv = _kv(sections["model"], "model", ("model", *rates, "seeds"))
+        for key in ("model", "beta"):
+            if key not in kv:
+                raise ConfigError(f"[model] needs {key}=")
+        # the rates are read in field order, each defaulting to 0
+        cfg.model = EpidemicParams(kv["model"], *[_as_float(kv.get(k, "0"), k) for k in rates])
         cfg.seed_tokens = tuple(_as_list(kv.get("seeds", ""), ",", "seeds"))
         if not cfg.seed_tokens:
             raise ConfigError("[model] needs a nonempty seeds= list")
@@ -214,12 +206,9 @@ def parse_config(text: str, base_dir: Path | str = ".") -> ExperimentConfig:
         # every value is read, in file order, before the range checks below
         for key, value in _kv(sections["run"], "run", tuple(_RUN)).items():
             setattr(cfg, key, _RUN[key](value, key))
-    if cfg.max_ticks < 1:
-        raise ConfigError(f"max_ticks must be >= 1, got {cfg.max_ticks}")
-    if cfg.n_runs < 1:
-        raise ConfigError(f"n_runs must be >= 1, got {cfg.n_runs}")
-    if cfg.n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {cfg.n_jobs}")
+    for key in ("max_ticks", "n_runs", "n_jobs"):
+        if (value := getattr(cfg, key)) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
     if cfg.stop not in ("absorb", "fixed_ticks"):
         raise ConfigError(f"stop must be absorb or fixed_ticks, got {cfg.stop!r}")
     if not 0.0 < cfg.epsilon < 1.0:
@@ -283,22 +272,23 @@ def find_config(ref: str) -> Path:
     raise ConfigError(f"config {ref!r}: no such file and no preset by that name")
 
 
+def _read(path: Path | str, error: type[InputError], what: str) -> str:
+    """The text of the file at `path`; an unreadable file is an `error`
+    naming it as the `what` file."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from None
+
+
 def load_config(ref: str) -> ExperimentConfig:
     path = find_config(ref)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config(text, base_dir=path.parent)
+    return parse_config(_read(path, ConfigError, "config"), base_dir=path.parent)
 
 
 def read_topology(path: Path | str) -> Network:
     """Load the edge-list file at `path`; an unreadable file is a TopologyError."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TopologyError(f"cannot read topology file {path}: {exc}") from None
-    return load_edge_list(text)
+    return load_edge_list(_read(path, TopologyError, "topology"))
 
 
 def build_network(cfg: ExperimentConfig) -> Network:
@@ -412,8 +402,11 @@ def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None, aliases=None
     written as the ids the run resolved: `seeds` for an epidemic or sweep,
     `scenario` (a VerticalScenario or HorizontalScenario) for a cascade;
     `aliases` is the topology's alias table (see `_id_text`).
-    [capacity] and [rate] keep the dicts' insertion order, which is file
-    order because `_node_values` rejects a node named twice. The output
+    The [model] rates are `EpidemicParams`' fields and the [run] keys are
+    `_RUN`'s, each in its table's order, so a key the reader learns is
+    written back without a second list. [capacity] and [rate] keep the
+    dicts' insertion order, which is file order because `_node_values`
+    rejects a node named twice. The output
     directory and n_jobs are deliberately left out: where results land and
     how many processes computed them are not part of the experiment, and
     the outputs are identical for every n_jobs."""
@@ -427,24 +420,14 @@ def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None, aliases=None
 
     if cfg.model is not None:
         p = cfg.model
-        lines += [
-            "", "[model]",
-            f"model={p.model}",
-            f"beta={_fmt(p.beta)}",
-            f"delta1={_fmt(p.delta1)}",
-            f"tau={_fmt(p.tau)}",
-            f"gamma={_fmt(p.gamma)}",
-            "seeds=" + ",".join(map(node, seeds)),
-        ]
+        _, *rates = (f.name for f in fields(p))
+        lines += ["", "[model]", f"model={p.model}"]
+        lines += [f"{k}={_fmt(getattr(p, k))}" for k in rates]
+        lines.append("seeds=" + ",".join(map(node, seeds)))
 
-    lines += [
-        "", "[run]",
-        f"max_ticks={cfg.max_ticks}",
-        f"n_runs={cfg.n_runs}",
-        f"rng_seed={cfg.rng_seed}",
-        f"stop={cfg.stop}",
-        f"epsilon={_fmt(cfg.epsilon)}",
-    ]
+    # epsilon is in (0, 1), never integral, so f"{epsilon}" is `_fmt`'s repr
+    lines += ["", "[run]"]
+    lines += [f"{k}={getattr(cfg, k)}" for k in _RUN if k != "n_jobs"]
 
     if cfg.grid is not None:
         lines += ["", "[sweep]", "grid=" + ",".join(_fmt(b) for b in cfg.grid)]

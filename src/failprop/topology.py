@@ -372,7 +372,10 @@ def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch
             raise TopologyError("empty edge list and no [nodes] count")
         n = max(ids) + 1
         if len(ids) != n:
-            missing = sorted(set(range(n)) - ids)
+            # stop at 10 missing ids, so the cost is bounded by the file, not by n
+            missing = list(islice(filterfalse(ids.__contains__, range(n)), 10))
+            if (gap := n - len(ids)) > 10:
+                missing = f"{gap} ids, first {missing}"
             raise TopologyError(f"node ids not contiguous from 0 (missing {missing})")
     # every token now names a node in [0, n)
 
@@ -538,9 +541,8 @@ def generate_topology(kind: str, params: Iterable[float], seed: int = 0) -> Netw
 
 def connected_components(net: Network, nodes: Iterable[int] | None = None) -> list[set[int]]:
     """Connected components of the subgraph induced by `nodes` (default: all)."""
-    pool = set(range(net.node_count)) if nodes is None else set(nodes)
+    left = set(range(net.node_count)) if nodes is None else set(nodes)
     comps: list[set[int]] = []
-    left = set(pool)
     while left:
         start = left.pop()
         comp = {start}

@@ -221,6 +221,21 @@ def test_parse_model_needs_model_and_beta():
         parse_config("[model]\nmodel=SI\nseeds=0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    # every [run] value is read before any range check
+    ("[run]\nmax_ticks=0\nn_runs=x\n", "n_runs must be an integer, got 'x'"),
+    # range checks run in key order, not file order
+    ("[run]\nn_jobs=0\nmax_ticks=0\n", "max_ticks must be >= 1, got 0"),
+    # the rates are read in EpidemicParams field order, not file order
+    ("[model]\nmodel=SID\ngamma=x\nbeta=y\nseeds=0\n", "beta must be a number, got 'y'"),
+    ("[model]\nseeds=0\n", "[model] needs model="),
+])
+def test_parse_reports_the_first_error_in_check_order(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
 def test_parse_scenario_section_constraints():
     with pytest.raises(ConfigError, match="kind"):
         parse_config("[scenario]\nkind=diagonal\n")

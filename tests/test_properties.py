@@ -17,10 +17,12 @@ byte for byte.
 checks from when they converted every token twice and checked every line,
 edge and preference in a loop, with two checks added since: an empty item
 in a controller list and an empty node id in `[roles]` or `[controllers]`
-are errors. The bulk checks must give the same Network or raise the same
-error with the same message. `reference_split_sections` cuts each line at
-its first `#` as that parser did; `split_sections`, which cuts comments
-from the whole text at once, must give the same parts on any line breaks.
+are errors, and a gap in the ids names at most the first 10 missing ids
+(with their count when more are missing) instead of every one. The bulk
+checks must give the same Network or raise the same error with the same
+message. `reference_split_sections` cuts each line at its first `#` as
+that parser did; `split_sections`, which cuts comments from the whole
+text at once, must give the same parts on any line breaks.
 
 `brute_force_route` enumerates every simple path, so `route_demand` is
 also checked against the definition of the path it must return rather
@@ -1617,7 +1619,14 @@ def reference_load_edge_list(source):
             raise TopologyError("empty edge list and no [nodes] count")
         n = ids[-1] + 1
         if len(ids) != n or ids[0] != 0:
-            missing = sorted(set(range(n)) - set(ids))
+            # the first 10 missing ids, and their count when there are more
+            present, missing, v = set(ids), [], 0
+            while len(missing) < min(10, n - len(ids)):
+                if v not in present:
+                    missing.append(v)
+                v += 1
+            if n - len(ids) > 10:
+                missing = f"{n - len(ids)} ids, first {missing}"
             raise TopologyError(f"node ids not contiguous from 0 (missing {missing})")
 
     role_map: dict[int, str] = {}

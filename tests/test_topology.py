@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 
 import pytest
 
@@ -204,6 +205,24 @@ def test_load_edge_list_name_aliases():
     assert net.aliases == {"zrh": 0, "par": 1, "lon": 2}
     assert net.edges == frozenset({(0, 1), (1, 2)})
     assert net.roles[0] == EDGE_SWITCH
+
+
+def test_load_edge_list_gap_message_names_at_most_ten_ids():
+    with pytest.raises(TopologyError) as err:
+        load_edge_list("0 1\n1 5\n")
+    assert str(err.value) == "node ids not contiguous from 0 (missing [2, 3, 4])"
+    with pytest.raises(TopologyError) as err:
+        load_edge_list("0 1\n1 1000000\n")
+    assert str(err.value) == ("node ids not contiguous from 0 "
+                              "(missing 999998 ids, first [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])")
+    assert len(str(err.value)) < 200
+
+
+def test_load_edge_list_gap_check_does_not_walk_the_id_range():
+    start = time.perf_counter()
+    with pytest.raises(TopologyError, match=r"missing 999999999998 ids, first \[2, "):
+        load_edge_list("0 1\n1 1000000000000\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_load_edge_list_errors():

@@ -18,8 +18,12 @@ empty working and output directory. The runs are:
 - the inputs this tool writes itself (`OWN_INPUTS`): a vertical and a
   horizontal cascade on names-mode topologies, with every node named by
   alias; integer-id configs that must fail (exit 2) on their first bad
-  `[capacity]`, `[rate]` or `seeds=` item; `validate` on each of its edge
-  lists, one of which has a `count=` that only `int()` reads; and a
+  `[capacity]`, `[rate]` or `seeds=` item; an epidemic that sets every
+  `[run]` key and a sweep that leaves rates at their defaults; configs
+  whose first error depends on the order of the `[run]` and `[model]`
+  checks, and one whose topology file does not exist; `validate` on each
+  of its edge lists, one of which has a `count=` that only `int()` reads
+  and two of which have a gap in their ids; and a
   vertical cascade, `validate` on its edge list and `validate` on an edge
   list with a bad last line, all with full-line and trailing `#` comments,
   each written with `\n`, `\r\n`, lone `\r` and `\x85` line ends;
@@ -72,6 +76,28 @@ OWN_INPUTS = {
     "bad-seeds.cfg": "[topology]\ngenerate=ring:6\n[model]\nmodel=SI\nbeta=0.5\n"
                      "seeds=1,3,01\n",
     "count-1_0.edges": "0 1\n1 2\n[nodes]\ncount=1_0\n",
+    # every [run] key away from its default, and every rate written back
+    "every-run-key.cfg": "[topology]\ngenerate=ring:12\n[model]\nmodel=SID\nbeta=0.4\n"
+                         "delta1=0.1\ntau=0.2\ngamma=0.3\nseeds=0,6\n[run]\nmax_ticks=7\n"
+                         "n_runs=3\nrng_seed=18446744073709551615\nstop=fixed_ticks\n"
+                         "epsilon=1e-05\nn_jobs=2\n",
+    "sweep-default-rates.cfg": "[topology]\ngenerate=ring:12\n[model]\nmodel=SIR\nbeta=0.3\n"
+                               "delta1=0.2\nseeds=0\n[run]\nmax_ticks=10\nn_runs=2\n"
+                               "epsilon=0.3\n[sweep]\ngrid=0.1,0.5\n",
+    # configs whose first error depends on the order of the checks (exit 2)
+    "order-read-before-range.cfg": "[topology]\ngenerate=ring:6\n[model]\nmodel=SI\nbeta=0.5\n"
+                                   "seeds=0\n[run]\nmax_ticks=0\nn_runs=x\n",
+    "order-range-by-key.cfg": "[topology]\ngenerate=ring:6\n[model]\nmodel=SI\nbeta=0.5\n"
+                              "seeds=0\n[run]\nn_jobs=0\nmax_ticks=0\n",
+    "order-rates-by-field.cfg": "[topology]\ngenerate=ring:6\n[model]\nmodel=SID\ngamma=x\n"
+                                "beta=y\nseeds=0\n",
+    "order-model-first.cfg": "[topology]\ngenerate=ring:6\n[model]\nseeds=0\n",
+    # a topology file that does not exist (exit 3)
+    "missing-topology.cfg": "[topology]\nfile=no-such.edges\n[model]\nmodel=SI\nbeta=0.5\n"
+                            "seeds=0\n",
+    # ids with a gap: 3 missing ids are named one by one, 98 by count and the first 10
+    "gap-3.edges": "0 1\n1 5\n",
+    "gap-98.edges": "0 1\n1 100\n",
 }
 
 # comments on every kind of line, so a comment cut that joins or splits
