@@ -44,7 +44,7 @@ from math import isfinite
 from operator import add, indexOf
 from typing import Iterable, NamedTuple
 
-from .topology import CONTROLLER, EDGE_SWITCH, SWITCH_ROLES, InputError, Network, _fmt
+from .topology import CONTROLLER, EDGE_SWITCH, InputError, Network, _fmt
 
 INF = float("inf")
 
@@ -65,12 +65,20 @@ class Injection(NamedTuple):
     volume: float
 
 
+def _check_amount(what: str, x):
+    if not (isfinite(x) and x >= 0):
+        raise ScenarioError(f"{what} must be finite and >= 0, got {x}")
+
+
+def _check_id(what: str, v):
+    if not isinstance(v, int):
+        raise ScenarioError(f"{what} {v!r} is not a node id")
+
+
 def _check_map(name: str, mapping: dict):
     for k, v in mapping.items():
-        if not isinstance(k, int):
-            raise ScenarioError(f"{name} key {k!r} is not a node id")
-        if not (isfinite(v) and v >= 0):
-            raise ScenarioError(f"{name}[{k}] must be finite and >= 0, got {v}")
+        _check_id(f"{name} key", k)
+        _check_amount(f"{name}[{k}]", v)
 
 
 @dataclass(frozen=True)
@@ -90,10 +98,8 @@ class VerticalScenario:
         _check_map("base_rate", self.base_rate)
         if self.attack is not None:
             target, rate = self.attack
-            if not isinstance(target, int):
-                raise ScenarioError(f"attack target {target!r} is not a node id")
-            if not (isfinite(rate) and rate >= 0):
-                raise ScenarioError(f"attack rate must be finite and >= 0, got {rate}")
+            _check_id("attack target", target)
+            _check_amount("attack rate", rate)
 
 
 @dataclass(frozen=True)
@@ -115,13 +121,10 @@ class HorizontalScenario:
         _check_map("node_capacity", self.node_capacity)
         object.__setattr__(self, "demands", tuple(Demand(*d) for d in self.demands))
         for d in self.demands:
-            if not (isfinite(d.volume) and d.volume >= 0):
-                raise ScenarioError(f"demand {d.src}->{d.dst} volume must be finite >= 0")
+            _check_amount(f"demand {d.src}->{d.dst} volume", d.volume)
         if self.injection is not None:
-            inj = Injection(*self.injection)
-            object.__setattr__(self, "injection", inj)
-            if not (isfinite(inj.volume) and inj.volume >= 0):
-                raise ScenarioError("injection volume must be finite and >= 0")
+            object.__setattr__(self, "injection", Injection(*self.injection))
+            _check_amount("injection volume", self.injection.volume)
 
 
 def validate_vertical(net: Network, sc: VerticalScenario) -> list[str]:
@@ -131,44 +134,35 @@ def validate_vertical(net: Network, sc: VerticalScenario) -> list[str]:
         raise ScenarioError("network has no controller nodes")
     for c in filterfalse(set(ctrls).__contains__, sc.controller_capacity):
         raise ScenarioError(f"capacity key {c} is not a controller")
-    for sw in filterfalse(set(switches).__contains__, sc.base_rate):
+    is_switch = set(switches).__contains__
+    for sw in filterfalse(is_switch, sc.base_rate):
         raise ScenarioError(f"rate key {sw} is not a switch")
-    if sc.attack is not None:
-        target = sc.attack[0]
-        if not (0 <= target < net.node_count) or net.roles[target] not in SWITCH_ROLES:
-            raise ScenarioError(f"attack target {target} is not a switch")
+    if sc.attack is not None and not is_switch(sc.attack[0]):
+        raise ScenarioError(f"attack target {sc.attack[0]} is not a switch")
     return [f"switch {sw} has no controller preference list"
             for sw in filterfalse(net.controller_prefs.get, switches)]
 
 
 def validate_horizontal(net: Network, sc: HorizontalScenario) -> list[str]:
     """Raise on a scenario that cannot run; return warnings otherwise."""
-    def _dp_node(v: int, what: str):
+    def is_controller(what: str, v: int) -> bool:
+        """Whether `v` is a controller; raises for an id outside the network."""
         if not (0 <= v < net.node_count):
             raise ScenarioError(f"{what} {v} is not a node id")
-        if net.roles[v] == CONTROLLER:
-            raise ScenarioError(f"{what} {v} is a controller, not a data-plane node")
+        return net.roles[v] == CONTROLLER
 
-    warnings = []
-    for v in sc.node_capacity:
-        if not (0 <= v < net.node_count):
-            raise ScenarioError(f"capacity key {v} is not a node id")
-        if net.roles[v] == CONTROLLER:
-            warnings.append(f"capacity on controller {v} has no effect")
-    for d in sc.demands:
-        _dp_node(d.src, "demand src")
-        _dp_node(d.dst, "demand dst")
-        if d.src == d.dst:
-            raise ScenarioError(f"demand src and dst are both {d.src}")
+    warnings = [f"capacity on controller {v} has no effect"
+                for v in sc.node_capacity if is_controller("capacity key", v)]
+    for kind, *ends, _ in _all_flows(sc):
+        names = (Demand if kind == "demand" else Injection)._fields  # src, dst or entry, exit
+        for end, v in zip(names, ends):
+            if is_controller(f"{kind} {end}", v):
+                raise ScenarioError(f"{kind} {end} {v} is a controller, not a data-plane node")
+        if ends[0] == ends[1]:
+            raise ScenarioError(f"{kind} {names[0]} and {names[1]} are both {ends[0]}")
     if sc.injection is not None:
-        inj = sc.injection
-        _dp_node(inj.entry, "injection entry")
-        _dp_node(inj.exit, "injection exit")
-        if inj.entry == inj.exit:
-            raise ScenarioError(f"injection entry and exit are both {inj.entry}")
-        for v in (inj.entry, inj.exit):
-            if net.roles[v] != EDGE_SWITCH:
-                warnings.append(f"injection endpoint {v} is not an edge switch")
+        warnings += [f"injection endpoint {v} is not an edge switch"
+                     for v in sc.injection[:2] if net.roles[v] != EDGE_SWITCH]
     return warnings
 
 
@@ -444,14 +438,12 @@ class CascadeTrace:
         """Per-round per-subject rows: round,<id>,load,capacity,status."""
         if self.kind == "vertical":
             header = "round,controller,load,capacity,status"
-            subjects = self.net.controllers()
             caps = self.scenario.controller_capacity
         else:
             header = "round,node,load,capacity,status"
-            subjects = [v for v in range(self.net.node_count)
-                        if self.net.roles[v] != CONTROLLER]
             caps = self.scenario.node_capacity
-        columns = [(s, _fmt(caps.get(s, INF))) for s in subjects]
+        # round 1 loads every subject: no controller or node has failed before it
+        columns = [(s, _fmt(caps.get(s, INF))) for s in sorted(self.rounds[0].loads)]
         text = {}  # each distinct load is formatted once
         lines = [header]
         for r, rnd in enumerate(self.rounds, 1):

@@ -47,8 +47,9 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, repeat, starmap
+from operator import add
 
 from .rng import derive_seed
 from .topology import InputError, Network
@@ -356,8 +357,10 @@ def _absorbed(counts) -> bool:
     return counts[1] == 0 and counts[3] == 0
 
 
+# Both add left to right: `sum()` sums floats compensated from Python 3.12
+# on, so its last digit would depend on the interpreter.
 def _mean(xs) -> float:
-    return sum(xs) / len(xs)
+    return reduce(add, xs, 0) / len(xs)
 
 
 def _stderr(xs) -> float:
@@ -365,7 +368,7 @@ def _stderr(xs) -> float:
     if n < 2:
         return 0.0
     m = _mean(xs)
-    var = sum((x - m) ** 2 for x in xs) / (n - 1)
+    var = reduce(add, [(x - m) ** 2 for x in xs], 0) / (n - 1)
     return (var / n) ** 0.5
 
 

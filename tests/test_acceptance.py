@@ -55,35 +55,40 @@ def test_ac01_isolated_node_occupancy_matches_stationary_distribution():
     net = Network.from_edges(1, [])
     rng = random.Random(derive_seed(7, 0))
     sv = initial_state(net, {0})
-    ticks = 10 ** 6
+    chunks, chunk = 10, 10 ** 5
+    ticks = chunks * chunk
     occ = {"S": 0, "I": 0, "R": 0, "D": 0}
-    start = time.process_time()
-    for _ in range(ticks):
-        state = sv.states[0]
-        occ[state] += 1
-        if state == "S":
-            sv = StateVector(states=("I",), tick=sv.tick + 1)
-        else:
-            sv = step(net, sv, p, rng)
-    elapsed = time.process_time() - start
     # the same bookkeeping with one draw in place of `step`: the budget is a
-    # ratio to this loop's time, so a slower or busier host moves both
+    # ratio to this loop's time, so a slower or busier host moves both. The
+    # two loops alternate chunk by chunk and the fastest chunk of each counts,
+    # so load that lands on one loop and not the other does not move it
     draw = random.Random(0).random
     seen = dict.fromkeys(occ, 0)
-    start = time.process_time()
-    for _ in range(ticks):
-        state = sv.states[0]
-        seen[state] += 1
-        draw()
-    calibration = time.process_time() - start
+    elapsed, calibration = [], []
+    for _ in range(chunks):
+        start = time.process_time()
+        for _ in range(chunk):
+            state = sv.states[0]
+            occ[state] += 1
+            if state == "S":
+                sv = StateVector(states=("I",), tick=sv.tick + 1)
+            else:
+                sv = step(net, sv, p, rng)
+        elapsed.append(time.process_time() - start)
+        start = time.process_time()
+        for _ in range(chunk):
+            state = sv.states[0]
+            seen[state] += 1
+            draw()
+        calibration.append(time.process_time() - start)
 
     assert occ["R"] == 0
     assert abs(occ["S"] / ticks - pi_s) <= 0.005
     assert abs(occ["I"] / ticks - pi_i) <= 0.005
     assert abs(occ["D"] / ticks - pi_d) <= 0.005
-    # 1.5 times the largest of ten measured ratios (24.4-43.3, Python 3.11 on a
-    # shared 2-core VM)
-    assert elapsed / calibration < 65.0
+    # ten ratios of this form measured 53.9-58.8 (55.6, 58.0, 56.6, 58.8, 57.9,
+    # 57.9, 55.9, 57.6, 53.9, 56.5; Python 3.11.7 on a shared 2-core VM)
+    assert min(elapsed) / min(calibration) < 65.0
 
 
 def test_ac02_infection_probability_matches_bernoulli_enumeration():

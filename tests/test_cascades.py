@@ -86,10 +86,84 @@ def test_scenario_rejects_bad_numbers():
     (lambda: VerticalScenario({"7": 1.0}, {}), "controller_capacity key '7' is not a node id"),
     (lambda: HorizontalScenario({1.0: 5.0}), "node_capacity key 1.0 is not a node id"),
     (lambda: VerticalScenario({}, {}, attack=("0", 5.0)), "attack target '0' is not a node id"),
-], ids=["map-key", "float-key", "attack-target"])
+    (lambda: VerticalScenario({}, {None: 1.0}), "base_rate key None is not a node id"),
+], ids=["map-key", "float-key", "attack-target", "rate-key"])
 def test_scenario_rejects_an_id_that_is_not_an_int(make, msg):
     with pytest.raises(ScenarioError, match=f"^{re.escape(msg)}$"):
         make()
+
+
+# switches 0 and 1, controller 2
+STAR = star_net(2, {0: [0], 1: [0]})
+# the data-plane line 0-1-2-3 with controller 4 beside node 1
+CTRL_LINE = load_edge_list("0 1\n1 2\n2 3\n1 4\n[roles]\n0=edge_switch\n1=core_switch\n"
+                           "2=core_switch\n3=edge_switch\n4=controller\n")
+
+
+def _horizontal(capacity=None, demands=(), injection=None):
+    return validate_horizontal(CTRL_LINE, HorizontalScenario(capacity or {}, demands, injection))
+
+
+@pytest.mark.parametrize("make,msg", [
+    # every amount: finite and >= 0
+    (lambda: VerticalScenario({2: -1.0}, {}),
+     "controller_capacity[2] must be finite and >= 0, got -1.0"),
+    (lambda: VerticalScenario({}, {0: INF}), "base_rate[0] must be finite and >= 0, got inf"),
+    (lambda: HorizontalScenario({3: float("nan")}),
+     "node_capacity[3] must be finite and >= 0, got nan"),
+    (lambda: VerticalScenario({}, {}, attack=(0, -5.0)),
+     "attack rate must be finite and >= 0, got -5.0"),
+    (lambda: HorizontalScenario({}, demands=[(0, 1, -1.0)]),
+     "demand 0->1 volume must be finite and >= 0, got -1.0"),
+    (lambda: HorizontalScenario({}, injection=(0, 1, -1.0)),
+     "injection volume must be finite and >= 0, got -1.0"),
+    # a switch is a node with a switch role
+    (lambda: validate_vertical(STAR, VerticalScenario({}, {5: 1.0})), "rate key 5 is not a switch"),
+    (lambda: validate_vertical(STAR, VerticalScenario({}, {2: 1.0})), "rate key 2 is not a switch"),
+    (lambda: validate_vertical(STAR, VerticalScenario({}, {}, attack=(5, 1.0))),
+     "attack target 5 is not a switch"),
+    (lambda: validate_vertical(STAR, VerticalScenario({}, {}, attack=(2, 1.0))),
+     "attack target 2 is not a switch"),
+    # capacity keys and flow ends are node ids; flow ends are data-plane nodes
+    (lambda: _horizontal({5: 1.0}), "capacity key 5 is not a node id"),
+    (lambda: _horizontal({-1: 1.0}), "capacity key -1 is not a node id"),
+    (lambda: _horizontal(demands=[(9, 0, 1.0)]), "demand src 9 is not a node id"),
+    (lambda: _horizontal(demands=[(0, -1, 1.0)]), "demand dst -1 is not a node id"),
+    (lambda: _horizontal(demands=[(4, 0, 1.0)]),
+     "demand src 4 is a controller, not a data-plane node"),
+    (lambda: _horizontal(demands=[(0, 4, 1.0)]),
+     "demand dst 4 is a controller, not a data-plane node"),
+    (lambda: _horizontal(demands=[(2, 2, 1.0)]), "demand src and dst are both 2"),
+    (lambda: _horizontal(injection=(-1, 0, 1.0)), "injection entry -1 is not a node id"),
+    (lambda: _horizontal(injection=(0, 9, 1.0)), "injection exit 9 is not a node id"),
+    (lambda: _horizontal(injection=(4, 0, 1.0)),
+     "injection entry 4 is a controller, not a data-plane node"),
+    (lambda: _horizontal(injection=(0, 4, 1.0)),
+     "injection exit 4 is a controller, not a data-plane node"),
+    (lambda: _horizontal(injection=(3, 3, 1.0)), "injection entry and exit are both 3"),
+    # precedence: capacity keys, then each demand end by end, then the injection
+    (lambda: _horizontal({7: 1.0}, demands=[(9, 0, 1.0)]), "capacity key 7 is not a node id"),
+    (lambda: _horizontal(demands=[(9, 4, 1.0)]), "demand src 9 is not a node id"),
+    (lambda: _horizontal(demands=[(4, 9, 1.0)]),
+     "demand src 4 is a controller, not a data-plane node"),
+    (lambda: _horizontal(demands=[(0, 1, 1.0), (2, 2, 1.0)], injection=(9, 0, 1.0)),
+     "demand src and dst are both 2"),
+])
+def test_scenario_error_messages(make, msg):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(msg)}$"):
+        make()
+
+
+@pytest.mark.parametrize("capacity,injection,warnings", [
+    ({4: 1.0, 1: 2.0}, None, ["capacity on controller 4 has no effect"]),
+    ({1: 2.0}, (0, 3, 1.0), []),
+    ({4: 1.0}, (1, 3, 1.0), ["capacity on controller 4 has no effect",
+                             "injection endpoint 1 is not an edge switch"]),
+    ({}, (2, 1, 1.0), ["injection endpoint 2 is not an edge switch",
+                       "injection endpoint 1 is not an edge switch"]),
+])
+def test_validate_horizontal_warnings(capacity, injection, warnings):
+    assert _horizontal(capacity, demands=[(0, 3, 1.0)], injection=injection) == warnings
 
 
 def test_validate_vertical_role_checks():

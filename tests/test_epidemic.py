@@ -1,11 +1,14 @@
 import json
+import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from failprop.epidemic import (
+    AggregateStats,
     EpidemicError,
     EpidemicParams,
     StateVector,
@@ -15,6 +18,7 @@ from failprop.epidemic import (
     run,
     step,
 )
+from failprop.metrics import threshold_sweep
 from failprop.rng import derive_seed
 from failprop.topology import Network, barabasi_albert, load_edge_list, ring
 
@@ -423,6 +427,62 @@ def test_monte_carlo_independent_of_parallelism():
 def test_monte_carlo_rejects_zero_runs():
     with pytest.raises(EpidemicError, match="n_runs"):
         monte_carlo(ring(4), {0}, EpidemicParams("SI", beta=0.5), 10, n_runs=0)
+
+
+@pytest.mark.parametrize("sizes", [[0.1] * 10, [0.1] * 9 + [0.7]])
+def test_outbreak_mean_and_stderr_add_left_to_right(sizes):
+    # builtin sum() adds floats compensated from Python 3.12 on, and on these
+    # sizes that changes both results: the bytes must not depend on the version
+    total = 0
+    for x in sizes:
+        total += x
+    mean = total / len(sizes)
+    assert mean != math.fsum(sizes) / len(sizes)
+    squares = 0
+    for x in sizes:
+        squares += (x - mean) ** 2
+    agg = AggregateStats(1, [], [], [], sizes)
+    assert agg.mean_outbreak == mean
+    assert agg.stderr_outbreak == (squares / (len(sizes) - 1) / len(sizes)) ** 0.5
+
+
+def _traced_peak(batch, n_runs: int) -> int:
+    tracemalloc.start()
+    try:
+        batch(n_runs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_BA500 = barabasi_albert(500, 2, seed=1)
+
+
+def _sid(n_runs):
+    p = EpidemicParams("SID", beta=0.06, delta1=0.15, tau=0.15, gamma=0.2)
+    return monte_carlo(_BA500, {0, 1, 2}, p, 100, "fixed_ticks", n_runs=n_runs, base_seed=3)
+
+
+def _sis(n_runs):
+    p = EpidemicParams("SIS", beta=0.06, delta1=0.3)
+    return monte_carlo(_BA500, {0, 1, 2}, p, 100, "fixed_ticks", n_runs=n_runs, base_seed=3)
+
+
+def _sweep(n_runs):
+    return threshold_sweep(_BA500, {0, 1, 2}, EpidemicParams("SIR", beta=0.1, delta1=0.3),
+                           (0.05, 0.1, 0.2, 0.4), n_runs, 100, base_seed=3, stop="fixed_ticks")
+
+
+@pytest.mark.parametrize("batch,few,many", [(_sid, 4, 64), (_sis, 4, 64), (_sweep, 2, 32)],
+                         ids=["monte-carlo-SID", "monte-carlo-SIS", "sweep-SIR"])
+def test_peak_memory_is_flat_in_the_replica_count(batch, few, many):
+    # what a batch holds is bounded by what it outputs, so 16 times the
+    # replicas may not grow the traced peak by half; n_jobs=1 runs every
+    # replica in this process, where tracemalloc sees it. Replica 0 spreads
+    # at these rates, so its event log, not the replica that happens to
+    # spread furthest, sets the peak
+    batch(few)  # untraced: builds the network's cached adjacency rows
+    assert _traced_peak(batch, many) <= 1.5 * _traced_peak(batch, few)
 
 
 def _plain_sis_endemic_fraction(n, beta, delta1, n_runs, ticks, tail, seed0):

@@ -26,7 +26,11 @@ empty working and output directory. The runs are:
   and two of which have a gap in their ids; and a
   vertical cascade, `validate` on its edge list and `validate` on an edge
   list with a bad last line, all with full-line and trailing `#` comments,
-  each written with `\n`, `\r\n`, lone `\r` and `\x85` line ends;
+  each written with `\n`, `\r\n`, lone `\r` and `\x85` line ends; and
+  cascades that each break one rule of the scenario validators (a negative
+  demand or injection volume, a demand to a controller, a demand or
+  injection whose two ends are one node, an attack or `[rate]` key naming
+  a controller) or warn (capacity on a controller);
 - the four benchmark workloads at each seed of --seeds (default: 1 23).
   Their inputs are written once per workload and seed by PARENT's
   perfbench/workloads.py (imported without writing bytecode), and both
@@ -54,6 +58,9 @@ from pathlib import Path
 WORKLOADS = ("epidemic-ba", "sweep-sir", "cascade-grid", "cascade-vertical")
 GEN_RUNS = (("ring", "12"), ("grid", "3", "4"), ("er", "30", "0.1", "--seed", "5"),
             ("ba", "30", "2", "--seed", "9"))
+
+_CTRL_LINE_H = "[topology]\nfile=ctrl-line.edges\n[scenario]\nkind=horizontal\n"
+_CTRL_LINE_V = "[topology]\nfile=ctrl-line.edges\n[scenario]\nkind=vertical\n"
 
 # file name -> text; each .cfg runs with the command its sections call for
 # and each .edges with `validate`, as the presets do
@@ -98,6 +105,19 @@ OWN_INPUTS = {
     # ids with a gap: 3 missing ids are named one by one, 98 by count and the first 10
     "gap-3.edges": "0 1\n1 5\n",
     "gap-98.edges": "0 1\n1 100\n",
+    # the cascade validators' rules: the data-plane line 0-1-2-3, controller 4
+    "ctrl-line.edges": "0 1\n1 2\n2 3\n1 4\n[roles]\n0=edge_switch\n1=core_switch\n"
+                       "2=core_switch\n3=edge_switch\n4=controller\n[controllers]\n0:4\n"
+                       "1:4\n2:4\n3:4\n",
+    "negative-demand.cfg": _CTRL_LINE_H + "[demand]\n0,3,-1\n",
+    "negative-injection.cfg": _CTRL_LINE_H + "[demand]\n0,3,1\n[injection]\n0,3,-1\n",
+    "demand-to-controller.cfg": _CTRL_LINE_H + "[demand]\n0,3,1\n0,4,1\n",
+    "demand-same-ends.cfg": _CTRL_LINE_H + "[demand]\n2,2,1\n",
+    "injection-same-ends.cfg": _CTRL_LINE_H + "[demand]\n0,3,1\n[injection]\n3,3,1\n",
+    "capacity-on-controller.cfg": _CTRL_LINE_H + "[capacity]\n4=1\n1=1.5\n[demand]\n0,3,1\n"
+                                  "[injection]\n1,3,1\n",
+    "attack-controller.cfg": _CTRL_LINE_V + "[rate]\n0=1\n[attack]\n4=5\n",
+    "rate-controller.cfg": _CTRL_LINE_V + "[rate]\n0=1\n4=1\n",
 }
 
 # comments on every kind of line, so a comment cut that joins or splits
