@@ -143,12 +143,17 @@ def cmd_cascade(args) -> int:
     if cfg.scenario_kind is None:
         raise ConfigError("cascade needs a [scenario] section")
     net = cfgmod.build_network(cfg)
-    if cfg.scenario_kind == "vertical":
+    vertical = cfg.scenario_kind == "vertical"
+    if vertical:
         sc = cfgmod.build_vertical_scenario(cfg, net)
         trace = run_vertical(net, sc)
+        outcome = (f"{len(trace.failed)} controller(s) failed, "
+                   f"{len(trace.orphaned_switches)} switch(es) orphaned")
     else:
         sc = cfgmod.build_horizontal_scenario(cfg, net)
         trace = run_horizontal(net, sc)
+        outcome = (f"{len(trace.failed)} node(s) failed, "
+                   f"{len(trace.rounds[-1].dropped)} flow(s) dropped")
     out = _out_dir(args, cfg)
     files = {
         out / "trace.csv": trace.csv(),
@@ -156,23 +161,13 @@ def cmd_cascade(args) -> int:
         out / "summary.json": trace.terminal_json(),
         out / "resolved-config.txt": cfgmod.render_resolved(cfg, scenario=sc, aliases=net.aliases),
     }
-    if cfg.scenario_kind == "horizontal":
+    if not vertical:
         files[out / "dropped.csv"] = trace.dropped_csv()
     _write(files)
     for w in trace.warnings:
         _say(f"warning: {w}")
-    if cfg.scenario_kind == "vertical":
-        _say(
-            f"cascade vertical: {len(trace.failed)} controller(s) failed, "
-            f"{len(trace.orphaned_switches)} switch(es) orphaned, {len(trace.rounds)} round(s), "
-            f"failed fraction {trace.failed_fraction():.4f}"
-        )
-    else:
-        _say(
-            f"cascade horizontal: {len(trace.failed)} node(s) failed, "
-            f"{len(trace.rounds[-1].dropped)} flow(s) dropped, {len(trace.rounds)} round(s), "
-            f"failed fraction {trace.failed_fraction():.4f}"
-        )
+    _say(f"cascade {trace.kind}: {outcome}, {len(trace.rounds)} round(s), "
+         f"failed fraction {trace.failed_fraction():.4f}")
     return EXIT_OK
 
 
@@ -280,12 +275,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:  # first: a GeneratorParamError is a TopologyError too
+    except (InputError, TopologyError) as exc:
         _say(f"failprop: error: {exc}")
-        return EXIT_CONFIG
-    except TopologyError as exc:
-        _say(f"failprop: error: {exc}")
-        return EXIT_TOPOLOGY
+        # InputError first: a GeneratorParamError is a TopologyError too
+        return EXIT_CONFIG if isinstance(exc, InputError) else EXIT_TOPOLOGY
     except Exception as exc:  # pragma: no cover - defensive catch-all
         _say(f"failprop: unexpected error: {exc!r}")
         return EXIT_RUNTIME

@@ -302,12 +302,14 @@ def build_network(cfg: ExperimentConfig) -> Network:
 
 
 def resolve_node(net: Network, token: str, name: str) -> int:
-    """The node a config token names: an id that `int()` reads, or an alias
-    of a names-mode topology. A token that reads both ways, as an alias of
-    one node and as the id of another, is an error."""
+    """The node a config token names: an id in the number grammar (`_plain`,
+    then `int()`: `01` and `+1` are node 1, but `1_0` and non-ASCII digits
+    are not ids), or an alias of a names-mode topology. A token that reads
+    both ways, as an alias of one node and as the id of another, is an
+    error."""
     token = token.strip()
     try:
-        v = int(token)
+        v = int(_plain(token))
     except ValueError:
         if net.aliases and token in net.aliases:
             return net.aliases[token]
@@ -338,7 +340,7 @@ def resolve_seeds(cfg: ExperimentConfig, net: Network) -> tuple[int, ...]:
 
 
 def _node_values(net: Network, lines, name: str) -> dict[int, float]:
-    """Per-node numbers of a [capacity] or [rate] section, in file order.
+    """Per-node numbers of a [capacity], [rate] or [attack] section, in file order.
     `zip` takes line i's node from `_distinct_nodes` before line i's value
     is read, so of several bad lines the first raises."""
     nodes = _distinct_nodes(net, [k for k, _ in lines], name)
@@ -351,32 +353,26 @@ def build_vertical_scenario(cfg: ExperimentConfig, net: Network) -> VerticalScen
     capacity = _node_values(net, cfg.capacity_lines, "capacity")
     rate = _node_values(net, cfg.rate_lines, "rate")
     attack = None
-    if cfg.attack_line is not None:
-        k, v = cfg.attack_line
-        attack = (resolve_node(net, k, "attack"), _as_float(v, "attack", k))
+    if cfg.attack_line is not None:  # a one-line [rate]
+        (attack,) = _node_values(net, [cfg.attack_line], "attack").items()
     return VerticalScenario(capacity, rate, attack)
 
 
 def build_horizontal_scenario(cfg: ExperimentConfig, net: Network) -> HorizontalScenario:
     from .cascades import Demand, HorizontalScenario, Injection
 
+    def flow(kind, cls, line):
+        """A [demand] or [injection] line as a `cls`: its two ends, then its
+        volume, each named by kind and field (`demand src`, `injection exit`)."""
+        (a, b, volume), names = line, [f"{kind} {f}" for f in cls._fields]
+        return cls(resolve_node(net, a, names[0]), resolve_node(net, b, names[1]),
+                   _as_float(volume, names[2]))
+
     capacity = _node_values(net, cfg.capacity_lines, "capacity")
-    demands = tuple(
-        Demand(
-            resolve_node(net, s, "demand src"),
-            resolve_node(net, d, "demand dst"),
-            _as_float(vol, "demand volume"),
-        )
-        for s, d, vol in cfg.demand_lines
-    )
+    demands = tuple(flow("demand", Demand, line) for line in cfg.demand_lines)
     injection = None
     if cfg.injection_line is not None:
-        e, x, vol = cfg.injection_line
-        injection = Injection(
-            resolve_node(net, e, "injection entry"),
-            resolve_node(net, x, "injection exit"),
-            _as_float(vol, "injection volume"),
-        )
+        injection = flow("injection", Injection, cfg.injection_line)
     return HorizontalScenario(capacity, demands, injection, cfg.misroute)
 
 
@@ -406,53 +402,50 @@ def render_resolved(cfg: ExperimentConfig, seeds=(), scenario=None, aliases=None
     `_RUN`'s, each in its table's order, so a key the reader learns is
     written back without a second list. [capacity] and [rate] keep the
     dicts' insertion order, which is file order because `_node_values`
-    rejects a node named twice. The output
+    rejects a node named twice; [attack] is written as a one-line [rate]
+    and [injection] as a one-line [demand]. The output
     directory and n_jobs are deliberately left out: where results land and
     how many processes computed them are not part of the experiment, and
     the outputs are identical for every n_jobs."""
     node = _id_text(aliases)
     lines: list[str] = ["[topology]"]
     if cfg.topology_generate is not None:
-        lines.append(f"generate={cfg.topology_generate}")
-        lines.append(f"gen_seed={cfg.gen_seed}")
+        lines += [f"generate={cfg.topology_generate}", f"gen_seed={cfg.gen_seed}"]
     else:
         lines.append(f"file={(cfg.base_dir / cfg.topology_file).resolve()}")
+
+    def section(name, body):
+        if body:
+            lines.extend(("", f"[{name}]", *body))
+
+    def values_section(name, mapping):
+        section(name, [f"{node(v)}={_fmt(x)}" for v, x in mapping.items()])
+
+    def flow_section(name, flows):
+        section(name, [f"{node(a)},{node(b)},{_fmt(volume)}" for a, b, volume in flows])
 
     if cfg.model is not None:
         p = cfg.model
         _, *rates = (f.name for f in fields(p))
-        lines += ["", "[model]", f"model={p.model}"]
-        lines += [f"{k}={_fmt(getattr(p, k))}" for k in rates]
-        lines.append("seeds=" + ",".join(map(node, seeds)))
+        section("model", [f"model={p.model}", *(f"{k}={_fmt(getattr(p, k))}" for k in rates),
+                          "seeds=" + ",".join(map(node, seeds))])
 
     # epsilon is in (0, 1), never integral, so f"{epsilon}" is `_fmt`'s repr
-    lines += ["", "[run]"]
-    lines += [f"{k}={getattr(cfg, k)}" for k in _RUN if k != "n_jobs"]
+    section("run", [f"{k}={getattr(cfg, k)}" for k in _RUN if k != "n_jobs"])
 
     if cfg.grid is not None:
-        lines += ["", "[sweep]", "grid=" + ",".join(_fmt(b) for b in cfg.grid)]
-
-    def values_section(name, mapping):
-        if mapping:
-            lines.extend(("", f"[{name}]"))
-            lines.extend([f"{node(v)}={_fmt(x)}" for v, x in mapping.items()])
+        section("sweep", ["grid=" + ",".join(_fmt(b) for b in cfg.grid)])
 
     if cfg.scenario_kind == "vertical":
-        lines += ["", "[scenario]", "kind=vertical"]
+        section("scenario", ["kind=vertical"])
         values_section("capacity", scenario.controller_capacity)
         values_section("rate", scenario.base_rate)
-        if scenario.attack is not None:
-            switch, rate = scenario.attack
-            lines += ["", "[attack]", f"{node(switch)}={_fmt(rate)}"]
+        values_section("attack", dict([scenario.attack] if scenario.attack else []))
     elif cfg.scenario_kind == "horizontal":
-        lines += ["", "[scenario]", "kind=horizontal",
-                  f"misroute={'true' if scenario.misroute else 'false'}"]
+        section("scenario", ["kind=horizontal",
+                             f"misroute={'true' if scenario.misroute else 'false'}"])
         values_section("capacity", scenario.node_capacity)
-        if scenario.demands:
-            lines += ["", "[demand]"]
-            lines += [f"{node(d.src)},{node(d.dst)},{_fmt(d.volume)}" for d in scenario.demands]
-        if scenario.injection is not None:
-            e, x, vol = scenario.injection
-            lines += ["", "[injection]", f"{node(e)},{node(x)},{_fmt(vol)}"]
+        flow_section("demand", scenario.demands)
+        flow_section("injection", [scenario.injection] if scenario.injection else [])
 
     return "\n".join(lines) + "\n"

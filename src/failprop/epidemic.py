@@ -46,7 +46,7 @@ import contextlib
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial, reduce
 from itertools import chain, repeat, starmap
 from operator import add
@@ -98,10 +98,8 @@ class EpidemicParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise EpidemicError(f"unknown model {self.model!r} (choices: {', '.join(MODELS)})")
-        _check_prob("beta", self.beta)
-        _check_prob("delta1", self.delta1)
-        _check_prob("tau", self.tau)
-        _check_prob("gamma", self.gamma)
+        for f in fields(self)[1:]:  # the rates, in field order
+            _check_prob(f.name, getattr(self, f.name))
         if self.model == "SI" and (self.delta1 or self.tau or self.gamma):
             raise EpidemicError("SI has no recovery: delta1, tau, gamma must be 0")
         if self.model in ("SIS", "SIR") and (self.tau or self.gamma):

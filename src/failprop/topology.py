@@ -330,15 +330,18 @@ def _resolve(edge_nos, ends, role_nos, role_tokens, role_names, pref_nos, switch
     """Stage 2: turn the scanned tokens into node ids and check them.
 
     `tokens` is the scan's table of distinct node tokens. An integer-id
-    file maps it through `int` as it stands, since ids do not depend on
-    its order; only a names-mode file lists the tokens again, in alias
-    order. Returns the arguments of `Network.from_edges`: (n, normalized
-    edge pairs, role map, preference map, alias table or None); no token
-    outlives this stage. A line-by-line loop runs only when a bulk check
-    fails, to name the first bad line.
+    file, one whose every token passes `_plain` and reads with `int`, maps
+    it through `int` as it stands, since ids do not depend on its order;
+    any other token (`a`, `1_0`, a non-ASCII digit) makes the file
+    names-mode, and only a names-mode file lists the tokens again, in
+    alias order. Returns the arguments of `Network.from_edges`: (n,
+    normalized edge pairs, role map, preference map, alias table or
+    None); no token outlives this stage. A line-by-line loop runs only
+    when a bulk check fails, to name the first bad line.
     """
     aliases: dict[str, int] | None = None
     try:
+        _plain("".join(tokens))  # one pass over every token for `_` and non-ASCII
         resolve = dict(zip(tokens, map(int, tokens)))
     except ValueError:
         # the distinct tokens in order of first appearance: edge ends line

@@ -314,6 +314,17 @@ def test_cascade_horizontal_preset_line(tmp_path):
     assert (out / "dropped.csv").is_file()
 
 
+@pytest.mark.parametrize("preset, line", [
+    ("fig5a-vertical", "cascade vertical: 2 controller(s) failed, 6 switch(es) orphaned, "
+                       "3 round(s), failed fraction 1.0000"),
+    ("fig5b-horizontal", "cascade horizontal: 3 node(s) failed, 1 flow(s) dropped, "
+                         "2 round(s), failed fraction 0.6000"),
+])
+def test_cascade_writes_one_summary_line(tmp_path, capsys, preset, line):
+    assert main(["cascade", "--config", preset, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_cascade_events_file(tmp_path):
     out = tmp_path / "v"
     assert main(["cascade", "--config", "fig5a-vertical", "--out", str(out)]) == 0

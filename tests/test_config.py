@@ -173,6 +173,28 @@ def test_numbers_have_one_spelling(text, msg):
     ("[topology]\ngenerate=er:10:1e-400\n", "generate underflows to 0, got '1e-400'"),
     ("[topology]\ngenerate=ring:6\n[scenario]\nkind=vertical\n[rate]\n0=1\n1=.01e-399\n",
      "rate 1 underflows to 0, got '.01e-399'"),
+    # each position of a flow line and of [attack] names itself in its error
+    *((f"[topology]\ngenerate=ring:6\n[scenario]\nkind={kind}\n{body}", msg)
+      for kind, body, msg in [
+        ("horizontal", "[demand]\n3.0,3,1\n", "demand src: unknown node '3.0'"),
+        ("horizontal", "[demand]\n0,9,1\n", "demand dst: node id 9 out of range"),
+        ("horizontal", "[demand]\n0,3,x\n", "demand volume must be a number, got 'x'"),
+        ("horizontal", "[injection]\nx,3,1\n", "injection entry: unknown node 'x'"),
+        ("horizontal", "[injection]\n0,-1,1\n", "injection exit: node id -1 out of range"),
+        ("horizontal", "[injection]\n0,3,inf\n", "injection volume must be finite, got 'inf'"),
+        # of two bad [demand] lines the first raises, whatever its bad position
+        ("horizontal", "[demand]\n0,3,1\n0,3,y\n9,3,1\n",
+         "demand volume must be a number, got 'y'"),
+        ("horizontal", "[demand]\n0,9,1\n0,3,y\n", "demand dst: node id 9 out of range"),
+        # capacity, then the demands, then the injection
+        ("horizontal", "[capacity]\n9=1\n[demand]\nx,3,1\n", "capacity: node id 9 out of range"),
+        ("horizontal", "[demand]\n0,3,x\n[injection]\n9,3,1\n",
+         "demand volume must be a number, got 'x'"),
+        ("vertical", "[attack]\nsw=5\n", "attack: unknown node 'sw'"),
+        ("vertical", "[attack]\n7=5\n", "attack: node id 7 out of range"),
+        ("vertical", "[attack]\n 0 = x\n", "attack 0 must be a number, got 'x'"),
+        ("vertical", "[rate]\n9=1\n[attack]\nx=1\n", "rate: node id 9 out of range"),
+    ]),
 ])
 def test_network_and_scenario_numbers_have_one_spelling(text, msg):
     cfg = parse_config(text)

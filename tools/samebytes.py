@@ -26,11 +26,16 @@ empty working and output directory. The runs are:
   and two of which have a gap in their ids; and a
   vertical cascade, `validate` on its edge list and `validate` on an edge
   list with a bad last line, all with full-line and trailing `#` comments,
-  each written with `\n`, `\r\n`, lone `\r` and `\x85` line ends; and
+  each written with `\n`, `\r\n`, lone `\r` and `\x85` line ends;
   cascades that each break one rule of the scenario validators (a negative
   demand or injection volume, a demand to a controller, a demand or
   injection whose two ends are one node, an attack or `[rate]` key naming
-  a controller) or warn (capacity on a controller);
+  a controller) or warn (capacity on a controller); cascades that fail
+  (exit 2) on a bad demand `dst` in their second line, a bad injection
+  `exit` or volume, or a bad `[attack]` value; and the node-id grammar:
+  seeds `1_0` and a non-ASCII digit on a generated ring, a names-mode
+  edge list with the alias `1_0` and a config that seeds it, and
+  `validate` on `0 1_0` with no `count=`;
 - the four benchmark workloads at each seed of --seeds (default: 1 23).
   Their inputs are written once per workload and seed by PARENT's
   perfbench/workloads.py (imported without writing bytecode), and both
@@ -118,6 +123,18 @@ OWN_INPUTS = {
                                   "[injection]\n1,3,1\n",
     "attack-controller.cfg": _CTRL_LINE_V + "[rate]\n0=1\n[attack]\n4=5\n",
     "rate-controller.cfg": _CTRL_LINE_V + "[rate]\n0=1\n4=1\n",
+    # each flow position and [attack] value names itself in its error (exit 2)
+    "demand-bad-second-dst.cfg": _CTRL_LINE_H + "[demand]\n0,3,1\n0,9,1\n",
+    "injection-bad-exit.cfg": _CTRL_LINE_H + "[demand]\n0,3,1\n[injection]\n0,x,1\n",
+    "injection-bad-volume.cfg": _CTRL_LINE_H + "[demand]\n0,3,1\n[injection]\n0,3,1_0\n",
+    "attack-bad-value.cfg": _CTRL_LINE_V + "[rate]\n0=1\n[attack]\n0=x\n",
+    # node ids take the number grammar: `1_0` and `\u0663` are not ids
+    "seeds-1_0.cfg": "[topology]\ngenerate=ring:20\n[model]\nmodel=SI\nbeta=0.5\n"
+                     "seeds=1_0,\u0663\n[run]\nmax_ticks=3\n",
+    "alias-1_0.edges": "a 1_0\n1_0 b\n",
+    "alias-1_0.cfg": "[topology]\nfile=alias-1_0.edges\n[model]\nmodel=SI\nbeta=0.5\n"
+                     "seeds=1_0\n[run]\nmax_ticks=3\n",
+    "id-1_0.edges": "0 1_0\n",
 }
 
 # comments on every kind of line, so a comment cut that joins or splits
